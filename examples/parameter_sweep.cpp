@@ -17,7 +17,6 @@
 #include "common/table.hpp"
 #include "core/pipeline.hpp"
 #include "graph/properties.hpp"
-#include "sim/delivery.hpp"
 #include "verify/verify.hpp"
 
 int main(int argc, char** argv) {
@@ -85,7 +84,6 @@ int main(int argc, char** argv) {
   spec.graphs = {family};
   spec.ns = {n};
   spec.seeds = {exec.seed};
-  spec.deliveries = {exec.delivery};
   spec.threads = {exec.threads};
   spec.repeats = 1;
   spec.solver_params.set("k", "3");

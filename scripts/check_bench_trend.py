@@ -9,7 +9,7 @@ Usage:
     check_bench_trend.py --self-test
 
 Compares the current sweep against a committed baseline cell by cell
-(key: alg / graph / n / seed / delivery / threads) and FAILS when
+(key: alg / graph / n / seed / threads) and FAILS when
 
   * a cell's solution digest differs from the baseline's -- the solver
     output changed for the same seed, which is either a determinism
@@ -93,8 +93,7 @@ SERVE_BASELINE_SCHEMA = "domset-serve-baseline/1"
 # the cells synthesized from a `domset load --json` report's latency
 # blocks (see serve_cells).
 KEY_FIELDS_BY_FAMILY = {
-    "bench": ("alg", "graph", "n", "seed", "delivery", "threads",
-              "drop", "faults"),
+    "bench": ("alg", "graph", "n", "seed", "threads", "drop", "faults"),
     "ingest": ("op", "format", "edges", "threads"),
     "dynamic": ("graph", "n", "batch", "mode"),
     "serve": ("graph", "n", "clients", "batch", "op"),
@@ -139,8 +138,8 @@ def cell_key(cell, key_fields=KEY_FIELDS):
 def key_label(key, key_fields=KEY_FIELDS):
     if key_fields is not KEY_FIELDS:
         return "/".join(f"{f}={v}" for f, v in zip(key_fields, key))
-    alg, graph, n, seed, delivery, threads, drop, faults = key
-    label = f"{alg}/{graph}/n={n}/seed={seed}/{delivery}/t={threads}"
+    alg, graph, n, seed, threads, drop, faults = key
+    label = f"{alg}/{graph}/n={n}/seed={seed}/t={threads}"
     if drop:
         label += f"/drop={drop:g}"
     if faults != "none":
@@ -284,7 +283,7 @@ def self_test():
     def doc(ms_scale=1.0, digest="00000000000000aa", drop_last=False):
         cells = [
             {"alg": "pipeline", "graph": "gnp", "n": 1000, "seed": 1,
-             "delivery": "push", "threads": t,
+             "threads": t,
              "median_ms": 10.0 * t * ms_scale, "digest": digest}
             for t in (1, 2)
         ]
@@ -323,8 +322,7 @@ def self_test():
     # that emits the reliable values explicitly.
     def cells_with(extra, digest="00000000000000aa"):
         cell = {"alg": "pipeline", "graph": "gnp", "n": 1000, "seed": 1,
-                "delivery": "push", "threads": 1,
-                "median_ms": 10.0, "digest": digest}
+                "threads": 1, "median_ms": 10.0, "digest": digest}
         cell.update(extra)
         return {cell_key(cell): cell}
 

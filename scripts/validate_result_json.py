@@ -25,14 +25,14 @@ Each file must carry one of the three schemas emitted by the driver:
 
 With --expect-identical, additionally asserts that all domset-run/1
 records (standalone files only) carry the same solution digest -- the CI
-hook that proves push/pull/auto delivery (and any thread count) produce
-bit-identical solutions without shipping the solutions themselves.  The
-real-graph CI job reuses it to prove the text, binary, and compressed
-loaders feed the solver the same graph.  domset-dynamic/1 records join
-the comparison through their summary.final_digest, proving replay runs
-are bit-identical across delivery modes and thread counts; domset-serve/1
-records join through final.digest, proving the served state agrees with
-an offline replay of the admitted mutation stream.
+hook that proves every thread count produces bit-identical solutions
+without shipping the solutions themselves.  The real-graph CI job reuses
+it to prove the text, binary, and compressed loaders feed the solver the
+same graph.  domset-dynamic/1 records join the comparison through their
+summary.final_digest, proving replay runs are bit-identical across
+thread counts; domset-serve/1 records join through final.digest, proving
+the served state agrees with an offline replay of the admitted mutation
+stream.
 
 Records whose graph came from a file (family "file") must carry a
 graph.source block (path, format in text|binary|compressed, load_ms);
@@ -49,7 +49,6 @@ RUN_SCHEMA = "domset-run/1"
 BENCH_SCHEMA = "domset-bench/1"
 DYNAMIC_SCHEMA = "domset-dynamic/1"
 SERVE_SCHEMA = "domset-serve/1"
-DELIVERY_MODES = ("push", "pull", "auto")
 
 # (path, type) pairs; bool is checked before int because bool is an int
 # subclass in Python.
@@ -62,7 +61,6 @@ RUN_REQUIRED = [
     (("graph", "max_degree"), int),
     (("exec", "seed"), int),
     (("exec", "threads"), int),
-    (("exec", "delivery"), str),
     (("exec", "drop_probability"), (int, float)),
     (("exec", "faults"), str),
     (("exec", "congest_bit_limit"), int),
@@ -160,7 +158,6 @@ DYNAMIC_REQUIRED = [
     (("graph", "max_degree"), int),
     (("exec", "seed"), int),
     (("exec", "threads"), int),
-    (("exec", "delivery"), str),
     (("params",), dict),
     (("replay", "mutations"), str),
     (("replay", "batch"), int),
@@ -198,7 +195,6 @@ SERVE_REQUIRED = [
     (("graph", "max_degree"), int),
     (("exec", "seed"), int),
     (("exec", "threads"), int),
-    (("exec", "delivery"), str),
     (("params",), dict),
     (("serve", "socket"), str),
     (("serve", "bias"), str),
@@ -227,7 +223,6 @@ CELL_REQUIRED = [
     (("graph",), str),
     (("n",), int),
     (("seed",), int),
-    (("delivery",), str),
     (("threads",), int),
     (("drop",), (int, float)),
     (("faults",), str),
@@ -290,9 +285,6 @@ def validate_run_record(record, label):
         )
     if not is_digest(record.get("result", {}).get("digest", "")):
         problems.append(f"{label}: digest must be 16 lowercase hex chars")
-    delivery = record.get("exec", {}).get("delivery")
-    if delivery not in DELIVERY_MODES:
-        problems.append(f"{label}: exec.delivery is {delivery!r}")
     if record.get("result", {}).get("valid") is not True \
             and not is_degraded(record):
         problems.append(
@@ -426,10 +418,6 @@ def validate_bench_document(doc, label):
             problems.append(
                 f"{cell_label}: digest must be 16 lowercase hex chars"
             )
-        if cell.get("delivery") not in DELIVERY_MODES:
-            problems.append(
-                f"{cell_label}: delivery is {cell.get('delivery')!r}"
-            )
         times = cell.get("times_ms", [])
         if isinstance(times, list):
             if repeats is not None and len(times) != repeats:
@@ -454,8 +442,8 @@ def validate_bench_document(doc, label):
                     f"embedded record digest {run_digest}"
                 )
         key = tuple(cell.get(k) for k in
-                    ("alg", "graph", "n", "seed", "delivery", "threads",
-                     "drop", "faults"))
+                    ("alg", "graph", "n", "seed", "threads", "drop",
+                     "faults"))
         if key in seen_keys:
             problems.append(f"{cell_label}: duplicate cell key {key}")
         seen_keys.add(key)
@@ -465,10 +453,6 @@ def validate_bench_document(doc, label):
 def validate_dynamic_document(doc, label):
     """Problems with one domset-dynamic/1 replay document."""
     problems = check_required(doc, DYNAMIC_REQUIRED, label)
-    if doc.get("exec", {}).get("delivery") not in DELIVERY_MODES:
-        problems.append(
-            f"{label}: exec.delivery is {doc.get('exec', {}).get('delivery')!r}"
-        )
     for key, value in doc.get("params", {}).items():
         if not isinstance(value, str):
             problems.append(f"{label}: param '{key}' must be a string echo")
@@ -542,10 +526,6 @@ def validate_dynamic_document(doc, label):
 def validate_serve_document(doc, label):
     """Problems with one domset-serve/1 load-generator document."""
     problems = check_required(doc, SERVE_REQUIRED, label)
-    if doc.get("exec", {}).get("delivery") not in DELIVERY_MODES:
-        problems.append(
-            f"{label}: exec.delivery is {doc.get('exec', {}).get('delivery')!r}"
-        )
     for key, value in doc.get("params", {}).items():
         if not isinstance(value, str):
             problems.append(f"{label}: param '{key}' must be a string echo")
@@ -622,8 +602,8 @@ def main(argv):
 
     if expect_identical and len(set(digests.values())) > 1:
         all_problems.append(
-            "solution digests differ across records (delivery/thread knobs "
-            "must be bit-identical): "
+            "solution digests differ across records (thread counts must "
+            "be bit-identical): "
             + ", ".join(f"{p}={d}" for p, d in sorted(digests.items()))
         )
 

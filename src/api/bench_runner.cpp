@@ -70,8 +70,7 @@ std::string faults_spec(const run_record& r) {
 std::string cell_label(const run_record& r) {
   std::string label =
       r.alg + "/" + r.graph_family + "/n=" + std::to_string(r.nodes) +
-      "/seed=" + std::to_string(r.exec.seed) + "/" +
-      std::string(sim::to_string(r.exec.delivery)) +
+      "/seed=" + std::to_string(r.exec.seed) +
       "/threads=" + std::to_string(r.exec.threads);
   // The degradation axes only appear when active so labels (and the error
   // messages built from them) keep their pre-fault shape on clean sweeps.
@@ -89,7 +88,6 @@ bench_document run_bench(const bench_spec& spec) {
   require_axis(!spec.graphs.empty(), "no graph families (--graph)");
   require_axis(!spec.ns.empty(), "no sizes (--n)");
   require_axis(!spec.seeds.empty(), "no seeds (--seeds)");
-  require_axis(!spec.deliveries.empty(), "no delivery modes (--delivery)");
   require_axis(!spec.threads.empty(), "no thread counts (--threads)");
   require_axis(spec.repeats >= 1, "repeats must be >= 1");
 
@@ -202,31 +200,28 @@ bench_document run_bench(const bench_spec& spec) {
     for (const solver* s : solvers) {
       const param_map params = filter_params(
           spec.solver_params, s->param_keys(), solver_keys_consumed);
-      for (const sim::delivery_mode delivery : spec.deliveries) {
-        for (const std::size_t threads : spec.threads) {
-          for (const double drop : drops) {
-            for (const fault_axis& fa : fault_axes) {
-              exec::context exec = spec.base_exec;
-              exec.seed = instance.seed;
-              exec.threads = threads;
-              exec.delivery = delivery;
-              exec.drop_probability = drop;
-              exec.faults = fa.plan;
-              exec.pool = pool_exec.pool;
-              pending.push_back({&instance.g, s, params, exec});
+      for (const std::size_t threads : spec.threads) {
+        for (const double drop : drops) {
+          for (const fault_axis& fa : fault_axes) {
+            exec::context exec = spec.base_exec;
+            exec.seed = instance.seed;
+            exec.threads = threads;
+            exec.drop_probability = drop;
+            exec.faults = fa.plan;
+            exec.pool = pool_exec.pool;
+            pending.push_back({&instance.g, s, params, exec});
 
-              bench_cell cell;
-              cell.record.alg = std::string(s->name());
-              cell.record.graph_family = std::string(instance.family->name);
-              cell.record.nodes = instance.g.node_count();
-              cell.record.edges = instance.g.edge_count();
-              cell.record.max_degree = instance.g.max_degree();
-              cell.record.source = instance.source;
-              cell.record.exec = exec;
-              cell.record.exec.pool = nullptr;  // process-local, not recorded
-              cell.record.params = params;
-              doc.cells.push_back(std::move(cell));
-            }
+            bench_cell cell;
+            cell.record.alg = std::string(s->name());
+            cell.record.graph_family = std::string(instance.family->name);
+            cell.record.nodes = instance.g.node_count();
+            cell.record.edges = instance.g.edge_count();
+            cell.record.max_degree = instance.g.max_degree();
+            cell.record.source = instance.source;
+            cell.record.exec = exec;
+            cell.record.exec.pool = nullptr;  // process-local, not recorded
+            cell.record.params = params;
+            doc.cells.push_back(std::move(cell));
           }
         }
       }
@@ -310,8 +305,6 @@ std::string to_json(const bench_document& doc) {
     out += "      \"graph\": \"" + r.graph_family + "\",\n";
     out += "      \"n\": " + num(r.nodes) + ",\n";
     out += "      \"seed\": " + num(r.exec.seed) + ",\n";
-    out += "      \"delivery\": \"" +
-           std::string(sim::to_string(r.exec.delivery)) + "\",\n";
     out += "      \"threads\": " + num(r.exec.threads) + ",\n";
     out += "      \"drop\": " + flt(r.exec.drop_probability) + ",\n";
     out += "      \"faults\": \"" + faults_spec(r) + "\",\n";

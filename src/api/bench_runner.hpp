@@ -1,7 +1,7 @@
 /// \file bench_runner.hpp
 /// \brief The registry-driven sweep runner behind `domset bench`: one
-/// declarative cross product {solver x graph family x n x seed x delivery
-/// x threads}, one shared worker pool, one schema-checked JSON document.
+/// declarative cross product {solver x graph family x n x seed x threads},
+/// one shared worker pool, one schema-checked JSON document.
 ///
 /// Before this existed every sweep in the repo -- the CI bench smokes,
 /// examples/parameter_sweep.cpp, ad-hoc comparison scripts -- re-implemented
@@ -11,10 +11,9 @@
 /// `api::make_graph` on one `sim::thread_pool` (created once via
 /// `exec::context::ensure_shared_pool`), and `to_json` emits the stable
 /// `domset-bench/1` document -- one embedded `domset-run/1` record per
-/// cell plus median wall-time over repeat-interleaved timings (the same
-/// drift-decorrelation discipline bench_p4_gather uses: repeats cycle
-/// through ALL cells before re-timing any one of them, so a slow patch on
-/// a shared box taxes every cell equally instead of one).
+/// cell plus median wall-time over repeat-interleaved timings (repeats
+/// cycle through ALL cells before re-timing any one of them, so a slow
+/// patch on a shared box taxes every cell equally instead of one).
 ///
 /// Determinism is enforced, not assumed: a cell's solution digest must be
 /// identical across repeats (same seed => same solution), and integral
@@ -30,13 +29,12 @@
 #include "api/result_json.hpp"
 #include "api/solver.hpp"
 #include "exec/context.hpp"
-#include "sim/delivery.hpp"
 
 namespace domset::api {
 
 /// The declarative sweep: every list is one axis of the cross product.
 /// Cells are enumerated in deterministic order -- graphs (family, n,
-/// seed) outermost, then solver, delivery, threads, drop, faults -- so
+/// seed) outermost, then solver, threads, drop, faults -- so
 /// two runs of the same spec produce cell-for-cell comparable documents
 /// (the property the CI trend gate keys on).
 struct bench_spec {
@@ -56,9 +54,6 @@ struct bench_spec {
   /// Engine seeds; each value is both the graph-generation seed and the
   /// run seed, so a cell is reproducible from its key alone.
   std::vector<std::uint64_t> seeds = {1};
-
-  /// Delivery modes to sweep.
-  std::vector<sim::delivery_mode> deliveries = {sim::delivery_mode::automatic};
 
   /// Worker counts to sweep (1 = serial, 0 = one per hardware thread).
   std::vector<std::size_t> threads = {1};
@@ -91,7 +86,7 @@ struct bench_spec {
   param_map graph_params;
 
   /// Template for the per-cell execution context: drop_probability and
-  /// congest_bit_limit are taken from here; seed/threads/delivery are
+  /// congest_bit_limit are taken from here; seed and threads are
   /// overridden per cell and the pool is the shared sweep pool (an
   /// injected pool is reused, otherwise ensure_shared_pool builds one
   /// sized for the largest thread count in the sweep).

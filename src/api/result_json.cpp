@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "sim/delivery.hpp"
+#include "sim/fault.hpp"
 
 namespace domset::api {
 
@@ -110,8 +110,6 @@ void append_record_json(std::string& out, const run_record& record,
   out += in1 + "\"exec\": {\n";
   out += in2 + "\"seed\": " + num(record.exec.seed) + ",\n";
   out += in2 + "\"threads\": " + num(record.exec.threads) + ",\n";
-  out += in2 + "\"delivery\": \"" +
-         std::string(sim::to_string(record.exec.delivery)) + "\",\n";
   out += in2 + "\"drop_probability\": " +
          fmt_double(record.exec.drop_probability) + ",\n";
   out += in2 + "\"faults\": \"" +

@@ -9,8 +9,8 @@
 /// the normalized result (size / objective / ratio bound / validity /
 /// solution digest) and the full sim::run_metrics.  The digest is a
 /// 64-bit FNV-1a over the solution bits, so two runs are bit-identical
-/// iff their digests match -- the hook CI uses to assert push/pull/auto
-/// delivery agreement without shipping whole solutions.
+/// iff their digests match -- the hook CI uses to assert agreement across
+/// thread counts without shipping whole solutions.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,7 @@ struct run_record {
   /// families.
   std::optional<graph_source> source;
   /// The execution context the run used (pool is process-local state and
-  /// is not recorded; threads/delivery are).
+  /// is not recorded; threads are).
   exec::context exec;
   /// Echo of the algorithm-specific params actually supplied.
   param_map params;

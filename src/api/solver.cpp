@@ -110,7 +110,7 @@ solve_result solver::solve(const graph::graph& g, const exec::context& exec,
   rp.mode = mode;
   rp.radius = static_cast<std::uint32_t>(radius);
   // Repair models recovery *after* the faults: the dirty subgraph is
-  // re-solved on a clean copy of the context (same seed/threads/delivery,
+  // re-solved on a clean copy of the context (same seed and threads,
   // no drops, no fault plan) so the patch itself cannot be damaged.
   exec::context clean = exec;
   clean.drop_probability = 0.0;

@@ -32,8 +32,8 @@ namespace domset::baselines {
 
 struct lrg_params {
   std::size_t max_rounds = 200'000;
-  /// Execution knobs (seed for the join coins, threads, pool, delivery,
-  /// message loss) -- see exec::context.
+  /// Execution knobs (seed for the join coins, threads, pool, message
+  /// loss) -- see exec::context.
   exec::context exec;
 };
 

@@ -27,8 +27,8 @@ namespace domset::baselines {
 
 struct luby_params {
   std::size_t max_rounds = 100'000;
-  /// Execution knobs (seed for the priority draws, threads, pool,
-  /// delivery) -- see exec::context.
+  /// Execution knobs (seed for the priority draws, threads, pool) -- see
+  /// exec::context.
   exec::context exec;
 };
 

@@ -30,7 +30,7 @@
 namespace domset::baselines {
 
 struct wu_li_params {
-  /// Execution knobs (threads, pool, delivery; the algorithm itself is
+  /// Execution knobs (threads, pool; the algorithm itself is
   /// deterministic, so the seed only matters under message loss) -- see
   /// exec::context.
   exec::context exec;

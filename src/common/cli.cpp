@@ -72,22 +72,6 @@ bool cli_parser::parse(int argc, const char* const* argv) {
     values_[name] = value;
   }
   for (const auto& [name, spec] : specs_) {
-    if (!spec.one_of.empty()) {
-      const std::string value = get_string(name);
-      bool ok = false;
-      for (const std::string& allowed : spec.one_of) ok |= value == allowed;
-      if (!ok) {
-        std::string allowed_list;
-        for (const std::string& allowed : spec.one_of) {
-          if (!allowed_list.empty()) allowed_list += " | ";
-          allowed_list += allowed;
-        }
-        std::fprintf(stderr, "flag '--%s' must be one of %s, got '%s'\n%s",
-                     name.c_str(), allowed_list.c_str(), value.c_str(),
-                     usage(argv[0]).c_str());
-        return false;
-      }
-    }
     if (spec.unit_interval) {
       const std::string value = get_string(name);
       char* end = nullptr;
@@ -158,12 +142,6 @@ void cli_parser::add_exec_flags(std::uint64_t default_seed) {
            "simulator worker threads (1 = serial, 0 = one per hardware "
            "thread); results are identical for every value");
   specs_["threads"].nonnegative_int = true;
-  add_flag("delivery", "auto",
-           "simulator message delivery: push (receiver-side slots), pull "
-           "(sender lanes + receiver gather), or auto (pull iff the run is "
-           "parallel and the degree distribution is hub-skewed); results "
-           "are identical for every value");
-  specs_["delivery"].one_of = {"push", "pull", "auto"};
   add_flag("drop", "0",
            "message-loss probability in [0, 1] (robustness extension; "
            "0 = the paper's reliable model)");
@@ -196,7 +174,6 @@ exec::context cli_parser::exec() const {
   ctx.threads = static_cast<std::size_t>(threads);
   ctx.congest_bit_limit = static_cast<std::uint32_t>(congest);
   ctx.drop_probability = get_double("drop");
-  ctx.delivery = sim::parse_delivery_mode(get_string("delivery"));
   sim::fault_plan plan = sim::parse_fault_plan(get_string("faults"));
   if (!plan.empty())
     ctx.faults = std::make_shared<const sim::fault_plan>(std::move(plan));

@@ -9,7 +9,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "exec/context.hpp"
 
@@ -50,10 +49,10 @@ class cli_parser {
 
   /// Registers the standard execution flags every simulator-backed binary
   /// shares, in one call: `--seed` (default `default_seed`), `--threads`
-  /// (1 = serial, 0 = one worker per hardware thread), `--delivery`
-  /// (push | pull | auto), `--drop` (message-loss probability in [0, 1]),
-  /// `--faults` (a sim::parse_fault_plan schedule, `none` = reliable)
-  /// and `--congest-bits` (0 = unchecked).  parse() validates each value
+  /// (1 = serial, 0 = one worker per hardware thread), `--drop`
+  /// (message-loss probability in [0, 1]), `--faults` (a
+  /// sim::parse_fault_plan schedule, `none` = reliable) and
+  /// `--congest-bits` (0 = unchecked).  parse() validates each value
   /// with the usual usage-and-exit path; read the result back as an
   /// exec::context with exec().  This is the single CLI insertion point
   /// for engine knobs -- a new exec::context field gets its flag here
@@ -78,9 +77,6 @@ class cli_parser {
     /// parse() rejects values sim::parse_fault_plan cannot parse (used by
     /// --faults; the parse error's message is surfaced in the usage text).
     bool fault_spec = false;
-    /// When non-empty, parse() rejects values outside this set (used by
-    /// --delivery; enum-shaped flags fail fast on typos).
-    std::vector<std::string> one_of;
   };
 
   std::string description_;

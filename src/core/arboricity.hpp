@@ -56,7 +56,7 @@ struct arboricity_params {
   /// positive and finite; throws std::invalid_argument otherwise.
   double epsilon = 0.5;
 
-  /// Execution knobs (threads, pool, delivery, faults); the algorithm is
+  /// Execution knobs (threads, pool, faults); the algorithm is
   /// deterministic, so `seed` only matters under injected unreliability.
   exec::context exec;
 };

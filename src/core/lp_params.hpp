@@ -16,8 +16,8 @@ struct lp_approx_params {
   /// time Theta(k^2).
   std::uint32_t k = 2;
 
-  /// Execution knobs (seed, threads, pool, delivery, message loss,
-  /// CONGEST bit limit) -- see exec::context for the shared semantics.
+  /// Execution knobs (seed, threads, pool, message loss, CONGEST bit
+  /// limit) -- see exec::context for the shared semantics.
   exec::context exec;
 };
 

@@ -41,8 +41,8 @@ struct rounding_params {
   /// so every node also knows its dominator (used by the clustering
   /// example).  The paper's algorithm does not need it.
   bool announce_final = false;
-  /// Execution knobs (seed for the rounding coins, threads, pool,
-  /// delivery, message loss) -- see exec::context.
+  /// Execution knobs (seed for the rounding coins, threads, pool, message
+  /// loss) -- see exec::context.
   exec::context exec;
 };
 

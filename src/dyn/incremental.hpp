@@ -25,8 +25,8 @@
 //
 // Determinism: epoch e always solves under seed derive_seed(seed, e), and
 // every stage above is a deterministic function of (graph, incumbent,
-// batch) -- so replay digests are bit-identical across thread counts and
-// push/pull delivery, inheriting the engine's own contract.
+// batch) -- so replay digests are bit-identical across thread counts,
+// inheriting the engine's own contract.
 #pragma once
 
 #include <cstdint>

@@ -9,7 +9,6 @@
 
 #include "api/result_json.hpp"
 #include "common/stats.hpp"
-#include "sim/delivery.hpp"
 #include "verify/verify.hpp"
 
 namespace domset::dyn {
@@ -149,9 +148,7 @@ std::string to_json(const replay_result& result) {
   out += "  },\n";
   out += "  \"exec\": {\n";
   out += "    \"seed\": " + std::to_string(result.exec.seed) + ",\n";
-  out += "    \"threads\": " + std::to_string(result.exec.threads) + ",\n";
-  out += "    \"delivery\": \"" +
-         json_escape(sim::to_string(result.exec.delivery)) + "\"\n";
+  out += "    \"threads\": " + std::to_string(result.exec.threads) + "\n";
   out += "  },\n";
   out += "  \"params\": {";
   bool first = true;

@@ -2,8 +2,8 @@
 /// \brief Seeded mutation-stream generator for dynamic-graph benchmarks.
 //
 // A pure function of its seed: the same (params, graph history) always
-// yields the same mutation stream, independent of thread count or
-// delivery mode, so replay benchmarks are deterministic end to end.
+// yields the same mutation stream, independent of thread count, so
+// replay benchmarks are deterministic end to end.
 // Two endpoint-sampling modes:
 //   * uniform -- endpoints uniform over the live node ids,
 //   * hub     -- endpoints drawn by picking a random *adjacency slot* of

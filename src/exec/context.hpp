@@ -3,7 +3,7 @@
 ///
 /// Before this header existed, every params struct (`lp_approx_params`,
 /// `rounding_params`, `pipeline_params`, the baselines) re-declared the
-/// same execution knobs -- seed, threads, pool, delivery, message loss --
+/// same execution knobs -- seed, threads, pool, message loss --
 /// with the same copy-pasted documentation, so each new engine feature
 /// cost an eight-file plumbing sweep.  `exec::context` is the single
 /// definition: algorithms embed it by composition (`params.exec`),
@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "sim/delivery.hpp"
 #include "sim/engine_config.hpp"
 #include "sim/fault.hpp"
 #include "sim/thread_pool.hpp"
@@ -27,10 +26,10 @@ namespace domset::exec {
 ///
 /// Only `seed` and `drop_probability` can influence a run's *output*
 /// (and `seed` only matters to the randomized algorithms or when message
-/// loss is injected); `threads`, `pool` and `delivery` are purely
-/// wall-clock knobs -- results and metrics are bit-identical for every
-/// setting, a contract enforced by tests/sim_parallel_determinism_test.cpp
-/// and documented in docs/threading.md.
+/// loss is injected); `threads` and `pool` are purely wall-clock knobs --
+/// results and metrics are bit-identical for every setting, a contract
+/// enforced by tests/sim_parallel_determinism_test.cpp and documented in
+/// docs/threading.md.
 struct context {
   /// Global engine seed; node v's private stream is derived from it.
   /// Algorithms 2 and 3 are deterministic, so for them the seed only
@@ -45,7 +44,7 @@ struct context {
   /// sim/fault.hpp).  Null or empty = no injected faults.  Like
   /// drop_probability, faults influence a run's *output* but never its
   /// determinism: the same plan plus the same seed reproduces the run bit
-  /// for bit at every thread count and delivery mode.
+  /// for bit at every thread count.
   std::shared_ptr<const sim::fault_plan> faults;
 
   /// If nonzero, the engine flags any message whose declared width
@@ -63,11 +62,6 @@ struct context {
   /// perturb results.
   std::shared_ptr<sim::thread_pool> pool;
 
-  /// Message-delivery scheme: push (receiver-side slots), pull (sender
-  /// lanes + receiver gather), or automatic resolution from degree skew
-  /// (see sim::engine_config::delivery and sim/delivery.hpp).
-  sim::delivery_mode delivery = sim::delivery_mode::automatic;
-
   /// Lowers the context into a simulator configuration.  Callers set the
   /// algorithm-specific fields (max_rounds) on the returned value.
   [[nodiscard]] sim::engine_config engine_config() const {
@@ -78,7 +72,6 @@ struct context {
     cfg.congest_bit_limit = congest_bit_limit;
     cfg.threads = threads;
     cfg.pool = pool;
-    cfg.delivery = delivery;
     return cfg;
   }
 

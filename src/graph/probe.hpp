@@ -67,8 +67,7 @@ struct probe_result {
   /// graphs.
   double triangle_density = 0.0;
 
-  /// Max/avg degree and skew, shared with the delivery heuristic
-  /// (graph::degree_stats).
+  /// Max/avg degree and skew (graph::degree_stats).
   degree_stats_result degrees;
 };
 

@@ -45,10 +45,9 @@ struct components_result {
 [[nodiscard]] double average_degree(const graph& g);
 
 /// Summary degree statistics of a graph, computed once and shared by
-/// everything that reasons about degree skew: the simulator's `auto`
-/// delivery heuristic (sim/delivery.hpp), the partitioner diagnostics and
-/// the bench harnesses (bench_p4_gather) -- instead of each caller
-/// recomputing max/avg degree ad hoc.
+/// everything that reasons about degree skew -- the solver probe
+/// (graph/probe.hpp) and the partitioner diagnostics -- instead of each
+/// caller recomputing max/avg degree ad hoc.
 struct degree_stats_result {
   /// Maximum degree Delta (0 for the empty graph).
   std::uint32_t max_degree = 0;

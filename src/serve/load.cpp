@@ -18,7 +18,6 @@
 #include "common/stats.hpp"
 #include "dyn/dynamic_graph.hpp"
 #include "serve/protocol.hpp"
-#include "sim/delivery.hpp"
 
 namespace domset::serve {
 
@@ -319,9 +318,7 @@ std::string to_json(const load_document& doc) {
   out += "  },\n";
   out += "  \"exec\": {\n";
   out += "    \"seed\": " + std::to_string(doc.exec.seed) + ",\n";
-  out += "    \"threads\": " + std::to_string(doc.exec.threads) + ",\n";
-  out += "    \"delivery\": \"" +
-         json_escape(sim::to_string(doc.exec.delivery)) + "\"\n";
+  out += "    \"threads\": " + std::to_string(doc.exec.threads) + "\n";
   out += "  },\n";
   out += "  \"params\": {";
   bool first = true;

@@ -1,7 +1,5 @@
 #include "sim/engine.hpp"
 
-#include "graph/properties.hpp"
-
 namespace domset::sim::detail {
 
 namespace {
@@ -13,39 +11,10 @@ constexpr std::uint64_t drop_stream_salt = 0xAD5E'05A1'DEAD'BEEFULL;
 /// node and drop salts, so enabling duplication never perturbs either).
 constexpr std::uint64_t dup_stream_salt = 0xD0B1'E5A1'0B5E'55EDULL;
 
-/// `auto` delivery thresholds: pull engages when the maximum degree is at
-/// least this many slots (below it a hub row spans a handful of cache
-/// lines and push's scatter is harmless) ...
-constexpr std::uint32_t auto_pull_min_degree = 64;
-/// ... and at least this multiple of the average degree (the skew that
-/// makes hub rows a cross-thread store hotspot and an equal-count
-/// partition lopsided).
-constexpr double auto_pull_min_skew = 8.0;
-
 }  // namespace
 
-bool mailbox_state::choose_pull(delivery_mode mode, const graph::graph& g,
-                                std::size_t workers) {
-  switch (mode) {
-    case delivery_mode::push:
-      return false;
-    case delivery_mode::pull:
-      return true;
-    case delivery_mode::automatic:
-      break;
-  }
-  if (workers <= 1) return false;  // serial: no cross-thread stores to avoid
-  const graph::degree_stats_result stats = graph::degree_stats(g);
-  return stats.max_degree >= auto_pull_min_degree &&
-         stats.skew >= auto_pull_min_skew;
-}
-
 mailbox_state::mailbox_state(const graph::graph& g, engine_config cfg)
-    : graph_(&g),
-      config_(cfg),
-      pull_(choose_pull(cfg.delivery, g,
-                        resolve_worker_count(cfg.threads, cfg.pool.get(),
-                                             g.node_count()))) {
+    : graph_(&g), config_(cfg) {
   const std::size_t n = g.node_count();
   const std::size_t directed_edges = 2 * g.edge_count();
 
@@ -81,15 +50,10 @@ mailbox_state::mailbox_state(const graph::graph& g, engine_config cfg)
     }
   }
 
-  // Push slots value-initialize to from == invalid_node (all empty); pull
-  // lanes default their stamp to ~0, which never equals a delivery round,
-  // so everything starts empty -- including for round 0, whose expected
-  // stamp is 0.  Only the active mode's array is allocated.
+  // Slots value-initialize to from == invalid_node, so every mailbox
+  // starts empty.
   for (mail_buffer& buf : buffers_) {
-    if (pull_)
-      buf.lanes.resize(directed_edges);
-    else
-      buf.slots.resize(directed_edges);
+    buf.slots.resize(directed_edges);
     buf.bcast.resize(n);
     buf.overflow.resize(n);
   }

@@ -35,21 +35,6 @@
 // per-edge drop rolls demotes the lane entry into the per-edge slots, so
 // per-receiver send order is always exact.
 //
-// Delivery modes.  The slot addressing above describes **push** delivery:
-// a sender stores each message at the receiver-side CSR position, so a
-// receiver's inbox is its own contiguous row.  On degree-skewed graphs
-// this serializes rounds on the hubs: every worker scatters stores into
-// the same hub row, and the cache lines of that row ping-pong between
-// cores.  **Pull** delivery inverts the ownership: a sender deposits into
-// its *own* row (a contiguous sender-local outbox lane, stamped with the
-// delivery round so no clearing pass is needed) and each receiver gathers
-// its inbox by walking its in-edge row and loading the senders' lanes
-// through the mirror index.  Cross-thread traffic becomes read-only;
-// nobody stores into another node's mailbox region.  The inbox a program
-// observes -- content and sorted-by-sender order -- is identical in both
-// modes, so delivery is a pure wall-clock knob (engine_config::delivery;
-// `auto` resolves per run from graph::degree_stats).
-//
 // Parallelism and determinism.  The compute phase and the post-barrier
 // delivery work (overflow sorting, lane/overflow retirement) may be
 // partitioned across engine_config::threads workers, dispatched on a
@@ -62,10 +47,8 @@
 // with no locks or atomics on the data path:
 //   * node v's program, RNG streams, metric counters, and inbox scratch
 //     are touched only by the worker that owns v;
-//   * in push mode sender u writes only the slots mirror[p] for p in u's
-//     own row, and distinct directed edges map to distinct slots; in pull
-//     mode u writes only u's own row, and receivers only *read* foreign
-//     rows (of the opposite buffer, sequenced by the phase barrier);
+//   * sender u writes only the slots mirror[p] for p in u's own row, and
+//     distinct directed edges map to distinct slots;
 //   * inboxes live in the opposite buffer of outboxes (double buffering),
 //     so no slot is read and written in the same phase.
 // Node randomness, message-drop decisions, and all metric counters are
@@ -80,14 +63,12 @@
 // the per-sender drop rolls, and duplication re-deposits a copy through
 // the overflow path.  Every fault decision is a pure function of (plan,
 // sender, edge position, round) plus the per-sender drop/dup streams --
-// never of thread count or delivery mode -- so faulty runs keep the
-// bit-reproducibility contract below.
+// never of thread count -- so faulty runs keep the bit-reproducibility
+// contract above.
 //
-// Engines.  typed_engine<Program> stores the per-node programs
+// Programs.  typed_engine<Program> stores the per-node programs
 // contiguously by value and dispatches on_round statically (no vtable,
-// no per-program allocation).  The classic virtual `engine` +
-// node_program interface is kept as a thin adapter over it for external
-// callers and heterogeneous programs.
+// no per-program allocation).
 #pragma once
 
 #include <algorithm>
@@ -102,7 +83,6 @@
 
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
-#include "sim/delivery.hpp"
 #include "sim/engine_config.hpp"
 #include "sim/fault.hpp"
 #include "sim/message.hpp"
@@ -111,24 +91,6 @@
 #include "sim/thread_pool.hpp"
 
 namespace domset::sim {
-
-/// A run's effective worker count: the `threads` knob (0 = the whole
-/// injected pool, else one per hardware thread), bounded by the injected
-/// pool's size, the pool-size ceiling, and the node count.  One function
-/// so the engine's round loop and the auto-delivery heuristic can never
-/// disagree about whether a run is serial.
-[[nodiscard]] inline std::size_t resolve_worker_count(std::size_t threads,
-                                                      const thread_pool* pool,
-                                                      std::size_t n) {
-  std::size_t requested = threads;
-  if (requested == 0)
-    requested = pool ? pool->size() : thread_pool::hardware_workers();
-  if (pool) requested = std::min(requested, pool->size());
-  // Mirror the pool constructor's ceiling so a run-private pool ends up
-  // exactly this big (the round loop asserts on that).
-  requested = std::min(requested, thread_pool::max_workers);
-  return std::min(requested, std::max<std::size_t>(n, 1));
-}
 
 namespace detail {
 
@@ -143,28 +105,8 @@ struct mail_buffer {
     message msg;
   };
 
-  /// Push mode: one message slot per directed edge at the receiver-side
-  /// CSR position (empty in pull mode).
+  /// One message slot per directed edge at the receiver-side CSR position.
   std::vector<message> slots;
-
-  /// Pull-mode outbox record: the message plus the round in which it must
-  /// be delivered.  The record is live for round r iff stamp == r, so
-  /// stale lanes need no clearing pass -- their stamp simply never
-  /// matches again (receivers cannot clear sender-side state without
-  /// reintroducing the cross-thread stores pull exists to remove).  The
-  /// Packing message and stamp into one 24-byte record keeps a random
-  /// gather access to a single line most of the time (vs. two guaranteed
-  /// misses with split stamp/slot arrays) without inflating the
-  /// sequential-bandwidth cost hub rows pay; stamp starts at ~0 so round
-  /// 0 (expected stamp 0) reads empty.
-  struct lane {
-    message msg;
-    std::uint64_t stamp = ~std::uint64_t{0};
-  };
-  /// Pull mode: one lane per directed edge at the *sender-side* CSR
-  /// position, so a sender's deposits are contiguous stores into its own
-  /// row (empty in push mode).
-  std::vector<lane> lanes;
   /// Broadcast lane: one entry per sender holding the message it broadcast
   /// this round (sentinel from == invalid_node when unused).  A broadcast
   /// is one message replicated degree times, so in the common case it
@@ -179,8 +121,8 @@ struct mail_buffer {
   std::atomic<bool> any_bcast{false};
 };
 
-/// All engine state that is independent of the program type.  Shared by
-/// typed_engine instantiations and the virtual adapter via round_context.
+/// All engine state that is independent of the program type, reached by
+/// node programs through round_context.
 class mailbox_state {
  public:
   mailbox_state(const graph::graph& g, engine_config cfg);
@@ -193,27 +135,9 @@ class mailbox_state {
     return node_rngs_[v];
   }
 
-  /// True when this run gathers inboxes from sender-side lanes (resolved
-  /// once at construction from engine_config::delivery and the graph's
-  /// degree skew).
-  [[nodiscard]] bool pull_delivery() const noexcept { return pull_; }
-
-  /// The `auto` heuristic in one place: pull pays off when a few hubs
-  /// concentrate the delivery traffic -- maximum degree both absolutely
-  /// large (below ~64 a hub row fits in a handful of cache lines and
-  /// scatter stores are cheap) and a large multiple of the average -- and
-  /// the run actually executes in parallel (`workers` is the resolved
-  /// count from resolve_worker_count, not the raw threads knob): serially,
-  /// push's scatter and pull's gather move the same lines, but across
-  /// workers push turns hub rows into cross-thread store hotspots while
-  /// pull's foreign traffic is read-only.
-  [[nodiscard]] static bool choose_pull(delivery_mode mode,
-                                        const graph::graph& g,
-                                        std::size_t workers);
-
   /// Places an already-accounted message into out-buffer slot `q`
   /// (receiver-side CSR position of the edge from -> to).  The innermost
-  /// write of the push-mode hot path: one slot store in the common case.
+  /// write of the hot path: one slot store in the common case.
   void place(mail_buffer& out, std::size_t q, graph::node_id to,
              const message& msg) {
     if (out.slots[q].from == graph::invalid_node) {
@@ -224,32 +148,11 @@ class mailbox_state {
     }
   }
 
-  /// Pull-mode counterpart of place(): deposits into *sender-side* lane
-  /// `p` of the out-buffer, stamped live for round `round + 1`.  A stamp
-  /// already at round + 1 means a second message down the same edge this
-  /// round: spill to the sender's overflow list, exactly like push.
-  void place_pull(mail_buffer& out, std::size_t p, graph::node_id to,
-                  const message& msg, std::size_t round) {
-    mail_buffer::lane& lane = out.lanes[p];
-    if (lane.stamp != round + 1) {
-      lane.stamp = round + 1;
-      lane.msg = msg;
-    } else {
-      out.overflow[msg.from].push_back({to, msg});
-      out.any_overflow.store(true, std::memory_order_relaxed);
-    }
-  }
-
-  /// Routes one message down row position `i` of `from` through the
-  /// active delivery mode: the receiver-side mirror slot (push) or the
-  /// sender's own slot (pull).
+  /// Routes one message down row position `i` of `from` into the
+  /// receiver-side mirror slot.
   void deposit(mail_buffer& out, graph::node_id from, std::size_t i,
-               graph::node_id to, const message& msg, std::size_t round) {
-    const std::size_t p = graph_->edge_begin(from) + i;
-    if (pull_)
-      place_pull(out, p, to, msg, round);
-    else
-      place(out, mirror_[p], to, msg);
+               graph::node_id to, const message& msg) {
+    place(out, mirror_[graph_->edge_begin(from) + i], to, msg);
   }
 
   /// Receiver-visible copy of a declared width (metrics keep the full
@@ -262,7 +165,7 @@ class mailbox_state {
   /// counters; returns true if the per-message path (drop rolls, link
   /// filters, duplication) must run.  The decision depends only on the
   /// config, the fault plan, the sender and the round, so it is identical
-  /// in every thread/delivery configuration.
+  /// at every thread count.
   bool account(graph::node_id from, std::uint64_t count, std::uint32_t bits,
                std::size_t round) {
     attempted_[from] += count;
@@ -304,10 +207,10 @@ class mailbox_state {
       return;
     }
     delivered_[from] += 1;
-    deposit(out, from, i, to, msg, round);
+    deposit(out, from, i, to, msg);
     if (dup_p > 0.0 && dup_rngs_[from].next_bernoulli(dup_p)) {
       duplicated_[from] += 1;
-      deposit(out, from, i, to, msg, round);
+      deposit(out, from, i, to, msg);
     }
   }
 
@@ -326,8 +229,8 @@ class mailbox_state {
   /// (the radio is off; losses are counted) while keeping the buffer
   /// hygiene collect/release normally provides.  Only v's owner worker
   /// may call this -- same ownership rule as collect_inbox.
-  void skip_down_node(graph::node_id v, std::size_t round) {
-    const std::span<const message> inbox = collect_inbox(v, round);
+  void skip_down_node(graph::node_id v) {
+    const std::span<const message> inbox = collect_inbox(v);
     fault_lost_[v] += inbox.size();
     down_rounds_[v] += 1;
     release_inbox(v, inbox);
@@ -338,13 +241,13 @@ class mailbox_state {
   /// further broadcasts, so per-receiver send order stays exact.  Callers
   /// must stamp last_slotted_round_ first, so later broadcasts this round
   /// keep using the per-edge path (lane vs. slots stays exclusive).
-  void demote_broadcast(graph::node_id from, std::size_t round) {
+  void demote_broadcast(graph::node_id from) {
     mail_buffer& out = buffers_[out_buf_];
     message& pending = out.bcast[from];
     if (pending.from == graph::invalid_node) return;
     const auto nbrs = graph_->neighbors(from);
     for (std::size_t i = 0; i < nbrs.size(); ++i)
-      deposit(out, from, i, nbrs[i], pending, round);
+      deposit(out, from, i, nbrs[i], pending);
     pending.from = graph::invalid_node;
   }
 
@@ -369,13 +272,13 @@ class mailbox_state {
         return;
       }
       last_slotted_round_[from] = round + 1;
-      demote_broadcast(from, round);  // repeat broadcast this round
+      demote_broadcast(from);  // repeat broadcast this round
       for (std::size_t i = 0; i < nbrs.size(); ++i)
-        deposit(out, from, i, nbrs[i], msg, round);
+        deposit(out, from, i, nbrs[i], msg);
       return;
     }
     last_slotted_round_[from] = round + 1;
-    demote_broadcast(from, round);
+    demote_broadcast(from);
     const double eff_drop = effective_drop(round);
     const double dup_p =
         faults_.any_dup() ? faults_.dup_probability(round) : 0.0;
@@ -392,7 +295,7 @@ class mailbox_state {
     if (it == nbrs.end() || *it != to)
       throw std::logic_error("round_context::send: destination not adjacent");
     last_slotted_round_[from] = round + 1;
-    demote_broadcast(from, round);  // keep send order exact across the mix
+    demote_broadcast(from);  // keep send order exact across the mix
     const auto i = static_cast<std::size_t>(it - nbrs.begin());
     const message msg{payload, from, wire_bits(bits), tag};
     if (account(from, 1, bits, round)) {
@@ -401,21 +304,16 @@ class mailbox_state {
                   faults_.any_dup() ? faults_.dup_probability(round) : 0.0);
       return;
     }
-    deposit(buffers_[out_buf_], from, i, to, msg, round);
+    deposit(buffers_[out_buf_], from, i, to, msg);
   }
 
   /// Drains node v's inbox from the in-buffer and returns it as one
-  /// contiguous span sorted by sender, for delivery in round `round`.
-  /// Push mode: the fast path compacts in place inside v's own slot range
-  /// (clearing the consumed slots so the in-buffer can serve as next
-  /// round's out-buffer); the overflow path gathers into v's scratch
-  /// vector.  Pull mode: always gathers into scratch, reading the
-  /// senders' lanes (v's own in-buffer row still holds v's previous-round
-  /// *outgoing* messages, which v's neighbors are reading this very
-  /// phase).  Only v's owner worker may call this.
-  [[nodiscard]] std::span<const message> collect_inbox(graph::node_id v,
-                                                       std::size_t round) {
-    if (pull_) return collect_inbox_pull(v, round);
+  /// contiguous span sorted by sender, for delivery in the current round.
+  /// The fast path compacts in place inside v's own slot range (clearing
+  /// the consumed slots so the in-buffer can serve as next round's
+  /// out-buffer); the overflow path gathers into v's scratch vector.  Only
+  /// v's owner worker may call this.
+  [[nodiscard]] std::span<const message> collect_inbox(graph::node_id v) {
     mail_buffer& in = buffers_[1 - out_buf_];
     const std::size_t lo = graph_->edge_begin(v);
     const std::size_t hi = graph_->edge_end(v);
@@ -484,61 +382,11 @@ class mailbox_state {
     return {dst.data(), dst.size()};
   }
 
-  /// Pull-mode inbox gather: walk v's in-edge row and load each sender's
-  /// outbox record -- the inline sender-side lane (live iff its stamp
-  /// equals this round), the sender's overflow run for v, or the
-  /// broadcast-lane entry.  Identical content and sorted-by-sender order
-  /// as the push paths (rows are sorted, lane vs. slots is exclusive per
-  /// sender), but all foreign state is only *read*: the one store target
-  /// is v's own scratch vector.  The lane addresses come from the
-  /// sequentially-read mirror row, so the random loads are prefetched a
-  /// fixed distance ahead -- the classic gather optimization push's
-  /// scatter stores cannot have.
-  [[nodiscard]] std::span<const message> collect_inbox_pull(graph::node_id v,
-                                                            std::size_t round) {
-    mail_buffer& in = buffers_[1 - out_buf_];
-    const std::size_t lo = graph_->edge_begin(v);
-    const std::size_t hi = graph_->edge_end(v);
-    const auto nbrs = graph_->neighbors(v);
-    const bool any_bcast = in.any_bcast.load(std::memory_order_relaxed);
-    const bool any_overflow = in.any_overflow.load(std::memory_order_relaxed);
-    const mail_buffer::lane* lanes = in.lanes.data();
-    const std::size_t* mirror = mirror_.data();
-    constexpr std::size_t prefetch_distance = 32;
-    auto& dst = scratch_[v];
-    dst.clear();
-    for (std::size_t q = lo; q < hi; ++q) {
-      if (q + prefetch_distance < hi)
-        __builtin_prefetch(lanes + mirror[q + prefetch_distance]);
-      const mail_buffer::lane& lane = lanes[mirror[q]];
-      if (lane.stamp == round) {
-        dst.push_back(lane.msg);
-        if (any_overflow) {
-          const auto& list = in.overflow[nbrs[q - lo]];
-          auto it = std::lower_bound(
-              list.begin(), list.end(), v,
-              [](const mail_buffer::routed_message& entry, graph::node_id to) {
-                return entry.to < to;
-              });
-          for (; it != list.end() && it->to == v; ++it) dst.push_back(it->msg);
-        }
-      } else if (any_bcast) {
-        const message& b = in.bcast[nbrs[q - lo]];
-        if (b.from != graph::invalid_node) dst.push_back(b);
-      }
-    }
-    return {dst.data(), dst.size()};
-  }
-
   /// Marks v's consumed inbox slots empty again so the in-buffer can serve
   /// as next round's out-buffer.  Must be called after on_round(v) by v's
   /// owner worker (v still owns its in-row for the whole compute phase).
-  /// No-op when the inbox was gathered into scratch (the overflow path,
-  /// and every pull-mode round -- stamps make stale pull lanes inert
-  /// without any clearing, and the slots array is not even allocated, so
-  /// the pointer comparison below must not be formed).
+  /// No-op when the inbox was gathered into scratch (the overflow path).
   void release_inbox(graph::node_id v, std::span<const message> inbox) {
-    if (pull_) return;
     mail_buffer& in = buffers_[1 - out_buf_];
     const std::size_t lo = graph_->edge_begin(v);
     if (inbox.data() != in.slots.data() + lo) return;
@@ -547,14 +395,13 @@ class mailbox_state {
   }
 
   /// Post-compute barrier work: retire the drained in-buffer (slot states
-  /// were already cleared by collect_inbox in push mode and are stamp-inert
-  /// in pull mode; overflow lists are cleared here if any were used) and
-  /// swap it in as next round's out-buffer.  The per-sender passes
-  /// (overflow sort, lane/overflow retirement) partition across `workers`
-  /// pool workers when a pool is supplied, along the run's degree-weighted
-  /// `bounds` (size workers + 1; may be empty when serial); every pass
-  /// touches only sender-indexed state, so disjoint sender ranges are
-  /// race-free.
+  /// were already cleared by collect_inbox; overflow lists are cleared here
+  /// if any were used) and swap it in as next round's out-buffer.  The
+  /// per-sender passes (overflow sort, lane/overflow retirement) partition
+  /// across `workers` pool workers when a pool is supplied, along the run's
+  /// degree-weighted `bounds` (size workers + 1; may be empty when serial);
+  /// every pass touches only sender-indexed state, so disjoint sender
+  /// ranges are race-free.
   void finish_round(thread_pool* pool, std::size_t workers,
                     std::span<const std::size_t> bounds);
 
@@ -566,8 +413,6 @@ class mailbox_state {
  private:
   const graph::graph* graph_;
   engine_config config_;
-  /// Resolved delivery scheme for this run (see choose_pull).
-  bool pull_ = false;
 
   /// mirror_[p] for sender-side CSR position p of edge (u -> v) is the
   /// receiver-side position of u in v's row: the flat slot address.
@@ -663,32 +508,18 @@ class round_context {
   std::size_t round_;
 };
 
-/// A distributed algorithm, from one node's point of view, behind a
-/// virtual interface.  Used with the type-erased `engine`; programs run
-/// through typed_engine need no base class, only the same two members.
-class node_program {
- public:
-  virtual ~node_program() = default;
-
-  /// Invoked once per round with the messages addressed to this node that
-  /// were sent in the previous round (sorted by sender id; multiple
-  /// messages from one sender stay in send order).  Round 0 has an empty
-  /// inbox.
-  virtual void on_round(round_context& ctx, std::span<const message> inbox) = 0;
-
-  /// True once this node's part of the algorithm has terminated.  Must be
-  /// monotone: once finished, a program stays finished (the engine counts
-  /// finish transitions instead of rescanning all nodes).  A finished node
-  /// keeps receiving on_round calls until the global run ends (real
-  /// devices stay powered on); implementations must make post-completion
-  /// calls no-ops.
-  [[nodiscard]] virtual bool finished() const = 0;
-};
-
 /// Owns one `Program` value per node (contiguous, no vtable dispatch) and
 /// drives rounds to completion.  `Program` must provide
-/// `void on_round(round_context&, std::span<const message>)` and
-/// `bool finished() const` (monotone).
+///   * `void on_round(round_context&, std::span<const message> inbox)`,
+///     invoked once per round with the messages addressed to this node
+///     that were sent in the previous round (sorted by sender id; multiple
+///     messages from one sender stay in send order; round 0 has an empty
+///     inbox);
+///   * `bool finished() const`, true once this node's part of the
+///     algorithm has terminated.  It must be monotone: the engine counts
+///     finish transitions instead of rescanning all nodes.  A finished
+///     node keeps receiving on_round calls until the global run ends (real
+///     devices stay powered on), so post-completion calls must be no-ops.
 template <typename Program>
 class typed_engine {
  public:
@@ -798,14 +629,14 @@ class typed_engine {
         // crash round -- its silence, not its cooperation, is what the
         // surviving nodes observe.  Crash-recover nodes resume later and
         // finish (or hit the round limit) on their own.
-        state_.skip_down_node(v, round);
+        state_.skip_down_node(v);
         if (!finished_flag_[v] && state_.node_crash_stopped(v, round)) {
           finished_flag_[v] = 1;
           ++newly_finished;
         }
         continue;
       }
-      const std::span<const message> inbox = state_.collect_inbox(v, round);
+      const std::span<const message> inbox = state_.collect_inbox(v);
       round_context ctx(state_, v, round);
       programs_[v].on_round(ctx, inbox);
       state_.release_inbox(v, inbox);
@@ -817,11 +648,20 @@ class typed_engine {
     return newly_finished;
   }
 
-  /// The run's worker count, decided once per run (see run()) through the
-  /// shared resolve_worker_count policy -- the same resolution the
-  /// auto-delivery heuristic saw at mailbox construction.
+  /// The run's effective worker count, decided once per run (see run()):
+  /// the `threads` knob (0 = the whole injected pool, else one per
+  /// hardware thread), bounded by the injected pool's size, the pool-size
+  /// ceiling, and the node count.
   [[nodiscard]] std::size_t resolve_workers(std::size_t n) const {
-    return resolve_worker_count(threads_, shared_pool_.get(), n);
+    const thread_pool* pool = shared_pool_.get();
+    std::size_t requested = threads_;
+    if (requested == 0)
+      requested = pool ? pool->size() : thread_pool::hardware_workers();
+    if (pool) requested = std::min(requested, pool->size());
+    // Mirror the pool constructor's ceiling so a run-private pool ends up
+    // exactly this big (the round loop asserts on that).
+    requested = std::min(requested, thread_pool::max_workers);
+    return std::min(requested, std::max<std::size_t>(n, 1));
   }
 
   /// Dispatches the round's compute phase on the pool (allocation-free:
@@ -858,54 +698,6 @@ class typed_engine {
   bool loaded_ = false;
   run_metrics metrics_;
   std::function<void(std::size_t)> round_observer_;
-};
-
-/// Type-erased engine over heap-allocated node_program instances -- the
-/// pre-flat-mailbox API, kept as a thin adapter over typed_engine so
-/// existing callers and heterogeneous programs keep working.
-class engine {
- public:
-  using program_factory =
-      std::function<std::unique_ptr<node_program>(graph::node_id)>;
-
-  engine(const graph::graph& g, engine_config cfg) : core_(g, cfg) {}
-
-  /// Instantiates one program per node via `factory`.  Must be called
-  /// exactly once before run().
-  void load(const program_factory& factory) {
-    core_.load([&](graph::node_id v) { return poly_program{factory(v)}; });
-  }
-
-  void set_round_observer(std::function<void(std::size_t round)> observer) {
-    core_.set_round_observer(std::move(observer));
-  }
-
-  run_metrics run() { return core_.run(); }
-
-  /// Typed access to a node's program (valid after load()).  The caller
-  /// asserts the concrete type; used by algorithm runners to read results.
-  template <typename Program>
-  [[nodiscard]] Program& program_as(graph::node_id v) {
-    return static_cast<Program&>(*core_.program(v).impl);
-  }
-
-  [[nodiscard]] const graph::graph& network() const noexcept {
-    return core_.network();
-  }
-  [[nodiscard]] const run_metrics& metrics() const noexcept {
-    return core_.metrics();
-  }
-
- private:
-  struct poly_program {
-    std::unique_ptr<node_program> impl;
-    void on_round(round_context& ctx, std::span<const message> inbox) {
-      impl->on_round(ctx, inbox);
-    }
-    [[nodiscard]] bool finished() const { return impl->finished(); }
-  };
-
-  typed_engine<poly_program> core_;
 };
 
 }  // namespace domset::sim

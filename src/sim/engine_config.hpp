@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "sim/delivery.hpp"
-
 namespace domset::sim {
 
 class thread_pool;
@@ -35,20 +33,13 @@ struct engine_config {
   /// Scheduled fault plan (sim/fault.hpp): crash windows, link cuts,
   /// bursts, duplication.  Null or empty = the reliable model.  Fault
   /// decisions derive from the plan and per-sender streams only, so runs
-  /// stay bit-identical across thread counts and delivery modes.
+  /// stay bit-identical across thread counts.
   std::shared_ptr<const fault_plan> faults;
 
   /// Worker threads for the parallel phases.  1 = serial; 0 = one per
   /// hardware thread (or the whole injected pool).  Results are
   /// bit-identical for every value.
   std::size_t threads = 1;
-
-  /// Physical message-delivery scheme (see sim/delivery.hpp): push
-  /// (receiver-side slots), pull (sender-side lanes + receiver gather), or
-  /// automatic (pull iff the run is parallel -- threads != 1 -- and the
-  /// degree distribution is hub-skewed).  Results are bit-identical for
-  /// every value -- purely a wall-clock knob.
-  delivery_mode delivery = delivery_mode::automatic;
 
   /// Optional externally owned worker pool, shared across runs and
   /// engines.  When set, parallel phases dispatch on it instead of a

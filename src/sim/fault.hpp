@@ -7,9 +7,9 @@
 // burst message loss, and message duplication -- applied by the engine in
 // its send/delivery phases.  Every decision the plane makes is a pure
 // function of (plan, sender, CSR edge position, round) plus per-sender RNG
-// streams, so a faulty run stays bit-identical across thread counts and
-// delivery modes: the same determinism contract the lossless engine
-// already carries (tests/sim_parallel_determinism_test.cpp).
+// streams, so a faulty run stays bit-identical across thread counts: the
+// same determinism contract the lossless engine already carries
+// (tests/sim_parallel_determinism_test.cpp).
 //
 // Fault semantics, in engine terms:
 //   * node down at round r: skipped by the compute phase (no on_round, no

@@ -28,16 +28,15 @@ api::bench_spec small_spec() {
   spec.graphs = {"star", "gnp"};
   spec.ns = {60};
   spec.seeds = {1, 2};
-  spec.deliveries = {sim::delivery_mode::push, sim::delivery_mode::pull};
-  spec.threads = {1, 2};
+  spec.threads = {1, 2, 4};
   spec.repeats = 2;
   return spec;
 }
 
 TEST(BenchRunner, EnumeratesTheFullCrossProduct) {
   const api::bench_document doc = api::run_bench(small_spec());
-  // graphs(2) x n(1) x seeds(2) x algs(2) x delivery(2) x threads(2).
-  EXPECT_EQ(doc.cells.size(), 32U);
+  // graphs(2) x n(1) x seeds(2) x algs(2) x threads(3).
+  EXPECT_EQ(doc.cells.size(), 24U);
   EXPECT_EQ(doc.repeats, 2U);
   for (const api::bench_cell& cell : doc.cells) {
     EXPECT_EQ(cell.times_ms.size(), 2U);
@@ -46,12 +45,14 @@ TEST(BenchRunner, EnumeratesTheFullCrossProduct) {
     EXPECT_TRUE(cell.record.valid);
     EXPECT_TRUE(cell.record.result.integral());
   }
-  // Deterministic order: graph axes outermost, then alg, delivery, threads.
+  // Deterministic order: graph axes outermost, then alg, threads.
   EXPECT_EQ(doc.cells[0].record.graph_family, "star");
   EXPECT_EQ(doc.cells[0].record.alg, "greedy");
   EXPECT_EQ(doc.cells[0].record.exec.threads, 1U);
   EXPECT_EQ(doc.cells[1].record.exec.threads, 2U);
-  EXPECT_EQ(doc.cells[16].record.graph_family, "gnp");
+  EXPECT_EQ(doc.cells[2].record.exec.threads, 4U);
+  EXPECT_EQ(doc.cells[3].record.alg, "lrg");
+  EXPECT_EQ(doc.cells[12].record.graph_family, "gnp");
 }
 
 TEST(BenchRunner, CellsMatchDirectRegistryRuns) {
@@ -222,15 +223,14 @@ TEST(BenchRunner, DegradedCellsRecordCoverageInsteadOfFailing) {
   // A crash cluster that swallows node 55's whole closed neighborhood on
   // the 10x10 grid: the cell's solution cannot dominate, and the runner
   // must record a degradation report instead of throwing -- with the
-  // digest still bit-identical across delivery modes and thread counts.
+  // digest still bit-identical across thread counts.
   api::bench_spec spec;
   spec.algs = {"pipeline"};
   spec.graphs = {"grid"};
   spec.ns = {100};
   spec.seeds = {2};
   spec.repeats = 1;
-  spec.deliveries = {sim::delivery_mode::push, sim::delivery_mode::pull};
-  spec.threads = {1, 2};
+  spec.threads = {1, 2, 4, 8};
   spec.solver_params.set("k", "2");
   spec.faults = {"crash=55@0+crash=45@0+crash=54@0+crash=56@0+crash=65@0"};
   const api::bench_document doc = api::run_bench(spec);

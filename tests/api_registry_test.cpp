@@ -2,8 +2,8 @@
 // name, unknown names/params fail with a clear error, every solver's
 // output on a fixed G(n, p) instance is valid, and a registry-invoked run
 // is bit-identical (solution digest + run metrics) to the corresponding
-// algorithm-specific entry point across delivery modes and thread counts
-// -- the registry is an adapter, not a fork.
+// algorithm-specific entry point across thread counts -- the registry is
+// an adapter, not a fork.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,43 +158,37 @@ TEST(ApiRegistry, PipelineAdapterIsBitIdenticalAcrossModesAndThreads) {
   const api::solver& solver = api::solver_registry::instance().find("pipeline");
   api::param_map params;
   params.set("k", "3");
-  for (const sim::delivery_mode mode :
-       {sim::delivery_mode::push, sim::delivery_mode::pull,
-        sim::delivery_mode::automatic}) {
-    for (const std::size_t threads : {1U, 2U, 8U}) {
-      SCOPED_TRACE(std::string(sim::to_string(mode)) + "/threads=" +
-                   std::to_string(threads));
-      exec::context exec;
-      exec.seed = 7;
-      exec.threads = threads;
-      exec.delivery = mode;
+  for (const std::size_t threads : {1U, 2U, 4U, 8U}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    exec::context exec;
+    exec.seed = 7;
+    exec.threads = threads;
 
-      core::pipeline_params direct;
-      direct.k = 3;
-      direct.exec = exec;
-      const core::pipeline_result expected =
-          core::compute_dominating_set(g, direct);
+    core::pipeline_params direct;
+    direct.k = 3;
+    direct.exec = exec;
+    const core::pipeline_result expected =
+        core::compute_dominating_set(g, direct);
 
-      const api::solve_result actual = solver.solve(g, exec, params);
+    const api::solve_result actual = solver.solve(g, exec, params);
 
-      EXPECT_EQ(actual.in_set, expected.in_set);
-      expect_x_identical(actual.x, expected.fractional.x);
-      EXPECT_EQ(actual.size, expected.size);
-      EXPECT_DOUBLE_EQ(actual.ratio_bound, expected.expected_ratio_bound);
-      // The adapter folds the two stages' metrics: sums for totals,
-      // maxima for peaks.
-      EXPECT_EQ(actual.metrics.rounds, expected.total_rounds);
-      EXPECT_EQ(actual.metrics.messages_sent, expected.total_messages);
-      EXPECT_EQ(actual.metrics.bits_sent,
-                expected.fractional.metrics.bits_sent +
-                    expected.rounding.metrics.bits_sent);
-      EXPECT_EQ(actual.metrics.max_message_bits,
-                std::max(expected.fractional.metrics.max_message_bits,
-                         expected.rounding.metrics.max_message_bits));
-      EXPECT_EQ(actual.metrics.max_messages_per_node,
-                std::max(expected.fractional.metrics.max_messages_per_node,
-                         expected.rounding.metrics.max_messages_per_node));
-    }
+    EXPECT_EQ(actual.in_set, expected.in_set);
+    expect_x_identical(actual.x, expected.fractional.x);
+    EXPECT_EQ(actual.size, expected.size);
+    EXPECT_DOUBLE_EQ(actual.ratio_bound, expected.expected_ratio_bound);
+    // The adapter folds the two stages' metrics: sums for totals,
+    // maxima for peaks.
+    EXPECT_EQ(actual.metrics.rounds, expected.total_rounds);
+    EXPECT_EQ(actual.metrics.messages_sent, expected.total_messages);
+    EXPECT_EQ(actual.metrics.bits_sent,
+              expected.fractional.metrics.bits_sent +
+                  expected.rounding.metrics.bits_sent);
+    EXPECT_EQ(actual.metrics.max_message_bits,
+              std::max(expected.fractional.metrics.max_message_bits,
+                       expected.rounding.metrics.max_message_bits));
+    EXPECT_EQ(actual.metrics.max_messages_per_node,
+              std::max(expected.fractional.metrics.max_messages_per_node,
+                       expected.rounding.metrics.max_messages_per_node));
   }
 }
 
@@ -300,28 +294,23 @@ TEST(ApiRegistry, WeightedAdapterIsBitIdenticalAcrossModesAndThreads) {
   api::param_map params;
   params.set("k", "3");
   params.set("costs", "degree");
-  for (const sim::delivery_mode mode :
-       {sim::delivery_mode::push, sim::delivery_mode::pull}) {
-    for (const std::size_t threads : {1U, 8U}) {
-      SCOPED_TRACE(std::string(sim::to_string(mode)) + "/threads=" +
-                   std::to_string(threads));
-      exec::context exec;
-      exec.seed = 21;
-      exec.threads = threads;
-      exec.delivery = mode;
+  for (const std::size_t threads : {1U, 4U, 8U}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    exec::context exec;
+    exec.seed = 21;
+    exec.threads = threads;
 
-      core::lp_approx_params direct;
-      direct.k = 3;
-      direct.exec = exec;
-      const core::weighted_lp_result expected =
-          core::approximate_weighted_lp(g, cost, direct);
+    core::lp_approx_params direct;
+    direct.k = 3;
+    direct.exec = exec;
+    const core::weighted_lp_result expected =
+        core::approximate_weighted_lp(g, cost, direct);
 
-      const api::solve_result actual = solver.solve(g, exec, params);
-      expect_x_identical(actual.x, expected.x);
-      EXPECT_DOUBLE_EQ(actual.objective, expected.objective);
-      EXPECT_DOUBLE_EQ(actual.ratio_bound, expected.ratio_bound);
-      expect_metrics_equal(actual.metrics, expected.metrics);
-    }
+    const api::solve_result actual = solver.solve(g, exec, params);
+    expect_x_identical(actual.x, expected.x);
+    EXPECT_DOUBLE_EQ(actual.objective, expected.objective);
+    EXPECT_DOUBLE_EQ(actual.ratio_bound, expected.ratio_bound);
+    expect_metrics_equal(actual.metrics, expected.metrics);
   }
 }
 
@@ -422,33 +411,28 @@ TEST(ApiRegistry, CdsAdapterIsBitIdenticalAcrossModesAndThreads) {
   api::param_map params;
   params.set("base", "pipeline");
   params.set("k", "3");
-  for (const sim::delivery_mode mode :
-       {sim::delivery_mode::push, sim::delivery_mode::pull}) {
-    for (const std::size_t threads : {1U, 8U}) {
-      SCOPED_TRACE(std::string(sim::to_string(mode)) + "/threads=" +
-                   std::to_string(threads));
-      exec::context exec;
-      exec.seed = 17;
-      exec.threads = threads;
-      exec.delivery = mode;
+  for (const std::size_t threads : {1U, 4U, 8U}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    exec::context exec;
+    exec.seed = 17;
+    exec.threads = threads;
 
-      core::pipeline_params direct;
-      direct.k = 3;
-      direct.exec = exec;
-      const core::pipeline_result base =
-          core::compute_dominating_set(g, direct);
-      const core::cds_result expected =
-          core::connect_dominating_set(g, base.in_set);
+    core::pipeline_params direct;
+    direct.k = 3;
+    direct.exec = exec;
+    const core::pipeline_result base =
+        core::compute_dominating_set(g, direct);
+    const core::cds_result expected =
+        core::connect_dominating_set(g, base.in_set);
 
-      const api::solve_result actual = solver.solve(g, exec, params);
-      EXPECT_EQ(actual.in_set, expected.in_set);
-      EXPECT_EQ(actual.size, expected.size);
-      EXPECT_TRUE(core::is_connected_within_components(g, actual.in_set));
-      EXPECT_TRUE(verify::is_dominating_set(g, actual.in_set));
-      // The 3x connector guarantee triples the base's ratio bound.
-      EXPECT_DOUBLE_EQ(actual.ratio_bound,
-                       3.0 * base.expected_ratio_bound);
-    }
+    const api::solve_result actual = solver.solve(g, exec, params);
+    EXPECT_EQ(actual.in_set, expected.in_set);
+    EXPECT_EQ(actual.size, expected.size);
+    EXPECT_TRUE(core::is_connected_within_components(g, actual.in_set));
+    EXPECT_TRUE(verify::is_dominating_set(g, actual.in_set));
+    // The 3x connector guarantee triples the base's ratio bound.
+    EXPECT_DOUBLE_EQ(actual.ratio_bound,
+                     3.0 * base.expected_ratio_bound);
   }
 }
 

@@ -98,21 +98,19 @@ TEST(CliParser, ExecFlagsDefaultToSerialReliableContext) {
   EXPECT_EQ(ctx.threads, 1U);
   EXPECT_EQ(ctx.drop_probability, 0.0);
   EXPECT_EQ(ctx.congest_bit_limit, 0U);
-  EXPECT_EQ(ctx.delivery, domset::sim::delivery_mode::automatic);
   EXPECT_EQ(ctx.pool, nullptr);
 }
 
 TEST(CliParser, ExecFlagsParseEveryKnob) {
   cli_parser cli("test tool");
   cli.add_exec_flags();
-  const char* argv[] = {"prog",        "--seed", "9",      "--threads", "4",
-                        "--delivery",  "pull",   "--drop", "0.25",
-                        "--congest-bits", "12"};
-  ASSERT_TRUE(cli.parse(11, argv));
+  const char* argv[] = {"prog",   "--seed", "9",    "--threads",
+                        "4",      "--drop", "0.25", "--congest-bits",
+                        "12"};
+  ASSERT_TRUE(cli.parse(9, argv));
   const domset::exec::context ctx = cli.exec();
   EXPECT_EQ(ctx.seed, 9U);
   EXPECT_EQ(ctx.threads, 4U);
-  EXPECT_EQ(ctx.delivery, domset::sim::delivery_mode::pull);
   EXPECT_DOUBLE_EQ(ctx.drop_probability, 0.25);
   EXPECT_EQ(ctx.congest_bit_limit, 12U);
 
@@ -142,9 +140,8 @@ TEST(CliParser, NonNumericThreadsRejectedAtParse) {
   }
 }
 
-TEST(CliParser, BadDeliveryAndDropRejectedAtParse) {
-  for (const char* bad : {"--delivery=teleport", "--drop=1.5", "--drop=-0.1",
-                          "--drop=lossy"}) {
+TEST(CliParser, BadDropRejectedAtParse) {
+  for (const char* bad : {"--drop=1.5", "--drop=-0.1", "--drop=lossy"}) {
     cli_parser cli("test tool");
     cli.add_exec_flags();
     const char* argv[] = {"prog", bad};

@@ -1,7 +1,7 @@
 // The incremental engine's contract: every epoch's spliced solution
 // dominates the materialized snapshot, its size stays within the
 // incumbent's quality envelope of a from-scratch re-solve, replay digests
-// are bit-identical across {push, pull} x {1, 2, 8} threads, and the
+// are bit-identical across {1, 2, 4, 8} threads, and the
 // escape hatch / parameter errors behave as documented.
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "dyn/workload.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "sim/delivery.hpp"
 #include "verify/verify.hpp"
 
 namespace domset {
@@ -74,35 +73,30 @@ TEST(DynIncremental, EveryEpochStaysValidAndNearFromScratchQuality) {
 
 TEST(DynIncremental, ReplayDigestsAreBitIdenticalAcrossExecKnobs) {
   // The determinism contract of the whole subsystem: per-epoch digests
-  // are a pure function of (graph, params, seed), never of delivery mode
-  // or thread count.
+  // are a pure function of (graph, params, seed), never of thread count.
   const graph::graph base = test_graph(300, 9);
   std::vector<std::vector<std::uint64_t>> histories;
-  for (const sim::delivery_mode delivery :
-       {sim::delivery_mode::push, sim::delivery_mode::pull}) {
-    for (const std::size_t threads : {1UL, 2UL, 8UL}) {
-      incremental_params params = base_params();
-      params.exec.seed = 7;
-      params.exec.threads = threads;
-      params.exec.delivery = delivery;
-      incremental_engine engine(base, params);
+  for (const std::size_t threads : {1UL, 2UL, 4UL, 8UL}) {
+    incremental_params params = base_params();
+    params.exec.seed = 7;
+    params.exec.threads = threads;
+    incremental_engine engine(base, params);
 
-      dyn::workload_params wp;
-      wp.seed = 7;
-      wp.bias = dyn::workload_bias::hub;
-      dyn::workload gen(wp);
-      std::vector<std::uint64_t> digests{engine.digest()};
-      for (int epoch = 0; epoch < 5; ++epoch) {
-        for (int i = 0; i < 8; ++i)
-          engine.network().apply(
-              gen.next(engine.network(), engine.network().rebase_point()));
-        digests.push_back(engine.commit_and_repair().digest);
-      }
-      histories.push_back(std::move(digests));
+    dyn::workload_params wp;
+    wp.seed = 7;
+    wp.bias = dyn::workload_bias::hub;
+    dyn::workload gen(wp);
+    std::vector<std::uint64_t> digests{engine.digest()};
+    for (int epoch = 0; epoch < 5; ++epoch) {
+      for (int i = 0; i < 8; ++i)
+        engine.network().apply(
+            gen.next(engine.network(), engine.network().rebase_point()));
+      digests.push_back(engine.commit_and_repair().digest);
     }
+    histories.push_back(std::move(digests));
   }
   for (std::size_t i = 1; i < histories.size(); ++i)
-    EXPECT_EQ(histories[i], histories[0]) << "configuration " << i;
+    EXPECT_EQ(histories[i], histories[0]) << "thread configuration " << i;
 }
 
 TEST(DynIncremental, FrontierCapKeepsHubBallsSmallAndValid) {
@@ -145,34 +139,30 @@ TEST(DynIncremental, FrontierCapKeepsHubBallsSmallAndValid) {
 TEST(DynIncremental, FrontierCapDigestsStayDeterministicAcrossExecKnobs) {
   // The cap changes which nodes re-decide, so digests differ from the
   // uncapped run -- but they must still be a pure function of (graph,
-  // params, seed), identical across delivery modes and thread counts.
+  // params, seed), identical across thread counts.
   const graph::graph base = test_graph(300, 9);
   std::vector<std::vector<std::uint64_t>> histories;
-  for (const sim::delivery_mode delivery :
-       {sim::delivery_mode::push, sim::delivery_mode::pull}) {
-    for (const std::size_t threads : {1UL, 2UL, 8UL}) {
-      incremental_params params = base_params();
-      params.exec.seed = 7;
-      params.exec.threads = threads;
-      params.exec.delivery = delivery;
-      params.frontier_cap = 12;
-      incremental_engine engine(base, params);
-      dyn::workload_params wp;
-      wp.seed = 7;
-      wp.bias = dyn::workload_bias::hub;
-      dyn::workload gen(wp);
-      std::vector<std::uint64_t> digests{engine.digest()};
-      for (int epoch = 0; epoch < 4; ++epoch) {
-        for (int i = 0; i < 8; ++i)
-          engine.network().apply(
-              gen.next(engine.network(), engine.network().rebase_point()));
-        digests.push_back(engine.commit_and_repair().digest);
-      }
-      histories.push_back(std::move(digests));
+  for (const std::size_t threads : {1UL, 2UL, 4UL, 8UL}) {
+    incremental_params params = base_params();
+    params.exec.seed = 7;
+    params.exec.threads = threads;
+    params.frontier_cap = 12;
+    incremental_engine engine(base, params);
+    dyn::workload_params wp;
+    wp.seed = 7;
+    wp.bias = dyn::workload_bias::hub;
+    dyn::workload gen(wp);
+    std::vector<std::uint64_t> digests{engine.digest()};
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      for (int i = 0; i < 8; ++i)
+        engine.network().apply(
+            gen.next(engine.network(), engine.network().rebase_point()));
+      digests.push_back(engine.commit_and_repair().digest);
     }
+    histories.push_back(std::move(digests));
   }
   for (std::size_t i = 1; i < histories.size(); ++i)
-    EXPECT_EQ(histories[i], histories[0]) << "configuration " << i;
+    EXPECT_EQ(histories[i], histories[0]) << "thread configuration " << i;
 }
 
 TEST(DynIncremental, FullFractionZeroForcesTheEscapeHatch) {

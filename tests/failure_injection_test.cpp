@@ -111,7 +111,7 @@ TEST(FailureInjection, FaultPlanBitIdenticalAcrossDeliveryAndThreads) {
   // kind scheduled at once -- crash-stop, crash-recover, a flapping link,
   // a loss burst stacked on base drop, duplication -- produces the same
   // set, the same objective, and the same fault counters for every
-  // delivery mode and thread count.
+  // thread count.
   common::rng gen(907);
   const graph::graph g = graph::gnp_random(60, 0.1, gen);
   auto plan = std::make_shared<const sim::fault_plan>(sim::parse_fault_plan(
@@ -121,7 +121,6 @@ TEST(FailureInjection, FaultPlanBitIdenticalAcrossDeliveryAndThreads) {
   params.k = 2;
   params.exec.seed = 19;
   params.exec.drop_probability = 0.1;
-  params.exec.delivery = sim::delivery_mode::push;
   params.exec.faults = plan;
   const auto serial = core::compute_dominating_set(g, params);
   // Exact fault bookkeeping on the reference run: both scheduled crashes
@@ -135,29 +134,22 @@ TEST(FailureInjection, FaultPlanBitIdenticalAcrossDeliveryAndThreads) {
     EXPECT_GT(m->messages_duplicated, 0U);
     EXPECT_GT(m->messages_dropped, 0U);
   }
-  for (const sim::delivery_mode mode :
-       {sim::delivery_mode::push, sim::delivery_mode::pull,
-        sim::delivery_mode::automatic}) {
-    for (const std::size_t threads :
-         std::array<std::size_t, 3>{1, 2, 8}) {
-      params.exec.delivery = mode;
-      params.exec.threads = threads;
-      const auto run = core::compute_dominating_set(g, params);
-      EXPECT_EQ(run.in_set, serial.in_set)
-          << "threads=" << threads << " delivery=" << to_string(mode);
-      EXPECT_EQ(run.size, serial.size);
-      EXPECT_EQ(run.total_rounds, serial.total_rounds);
-      EXPECT_EQ(run.total_messages, serial.total_messages);
-      const auto pairs = {
-          std::make_pair(&run.fractional.metrics, &serial.fractional.metrics),
-          std::make_pair(&run.rounding.metrics, &serial.rounding.metrics)};
-      for (const auto& [a, b] : pairs) {
-        EXPECT_EQ(a->messages_dropped, b->messages_dropped);
-        EXPECT_EQ(a->messages_lost_to_faults, b->messages_lost_to_faults);
-        EXPECT_EQ(a->messages_duplicated, b->messages_duplicated);
-        EXPECT_EQ(a->node_rounds_down, b->node_rounds_down);
-        EXPECT_EQ(a->nodes_crashed, b->nodes_crashed);
-      }
+  for (const std::size_t threads : std::array<std::size_t, 4>{1, 2, 4, 8}) {
+    params.exec.threads = threads;
+    const auto run = core::compute_dominating_set(g, params);
+    EXPECT_EQ(run.in_set, serial.in_set) << "threads=" << threads;
+    EXPECT_EQ(run.size, serial.size);
+    EXPECT_EQ(run.total_rounds, serial.total_rounds);
+    EXPECT_EQ(run.total_messages, serial.total_messages);
+    const auto pairs = {
+        std::make_pair(&run.fractional.metrics, &serial.fractional.metrics),
+        std::make_pair(&run.rounding.metrics, &serial.rounding.metrics)};
+    for (const auto& [a, b] : pairs) {
+      EXPECT_EQ(a->messages_dropped, b->messages_dropped);
+      EXPECT_EQ(a->messages_lost_to_faults, b->messages_lost_to_faults);
+      EXPECT_EQ(a->messages_duplicated, b->messages_duplicated);
+      EXPECT_EQ(a->node_rounds_down, b->node_rounds_down);
+      EXPECT_EQ(a->nodes_crashed, b->nodes_crashed);
     }
   }
 }

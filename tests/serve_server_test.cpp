@@ -3,8 +3,7 @@
 // errors carry the connection's request line, a socket demo with 8
 // concurrent clients plus a mutator observes zero epoch/digest
 // conflicts, and the served final digest is bit-identical to an offline
-// `domset replay` of the admitted stream across {push, pull} x {1, 2, 8}
-// threads.
+// `domset replay` of the admitted stream across {1, 2, 4, 8} threads.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -25,7 +24,6 @@
 #include "serve/load.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "sim/delivery.hpp"
 #include "verify/verify.hpp"
 
 namespace domset {
@@ -174,7 +172,7 @@ TEST(ServeServer, SocketLoadAgreesWithOfflineReplayAcrossExecKnobs) {
   // The acceptance demo: a real AF_UNIX server, 8 concurrent query
   // clients plus the mutator, every response from a consistently pinned
   // epoch, and the served final digest reproduced by an offline replay
-  // of the admitted stream under every delivery mode and thread count.
+  // of the admitted stream at every thread count.
   const std::string socket_path =
       testing::TempDir() + "domset_serve_test_" +
       std::to_string(::getpid()) + ".sock";
@@ -215,28 +213,24 @@ TEST(ServeServer, SocketLoadAgreesWithOfflineReplayAcrossExecKnobs) {
   EXPECT_EQ(report.epoch_digest_conflicts, 0u);
 
   // Offline agreement: replaying the admitted stream with the same batch
-  // reproduces the served digest bit-for-bit, at every delivery mode and
-  // thread count (the engine's determinism contract).
+  // reproduces the served digest bit-for-bit at every thread count (the
+  // engine's determinism contract).
   std::vector<dyn::mutation> log;
   for (const std::string& atom : report.admitted)
     log.push_back(dyn::parse_mutation(atom));
   ASSERT_EQ(log.size(), 96u);
-  for (const sim::delivery_mode delivery :
-       {sim::delivery_mode::push, sim::delivery_mode::pull}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      dyn::replay_spec spec;
-      spec.inc.exec.seed = seed;
-      spec.inc.exec.delivery = delivery;
-      spec.inc.exec.threads = threads;
-      spec.batch = lp.batch;
-      spec.log = log;
-      spec.mutations_label = "file:admitted";
-      const dyn::replay_result offline =
-          dyn::run_replay(test_graph(n, seed), "ba", spec);
-      EXPECT_EQ(offline.summary.final_digest, report.final_digest)
-          << sim::to_string(delivery) << " x " << threads << " threads";
-      EXPECT_EQ(offline.summary.final_size, report.final_size);
-    }
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    dyn::replay_spec spec;
+    spec.inc.exec.seed = seed;
+    spec.inc.exec.threads = threads;
+    spec.batch = lp.batch;
+    spec.log = log;
+    spec.mutations_label = "file:admitted";
+    const dyn::replay_result offline =
+        dyn::run_replay(test_graph(n, seed), "ba", spec);
+    EXPECT_EQ(offline.summary.final_digest, report.final_digest)
+        << threads << " threads";
+    EXPECT_EQ(offline.summary.final_size, report.final_size);
   }
 }
 

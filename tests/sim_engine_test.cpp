@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -14,17 +13,17 @@ using graph::node_id;
 
 /// Broadcasts its id once in round 0, records everything it ever receives,
 /// and finishes after `lifetime` rounds.
-class echo_program final : public node_program {
+class echo_program {
  public:
   explicit echo_program(std::size_t lifetime) : lifetime_(lifetime) {}
 
-  void on_round(round_context& ctx, std::span<const message> inbox) override {
+  void on_round(round_context& ctx, std::span<const message> inbox) {
     for (const message& msg : inbox) received_.push_back(msg);
     if (ctx.round() == 0) ctx.broadcast(7, ctx.id(), 16);
     if (ctx.round() + 1 >= lifetime_) done_ = true;
   }
 
-  [[nodiscard]] bool finished() const override { return done_; }
+  [[nodiscard]] bool finished() const { return done_; }
   [[nodiscard]] const std::vector<message>& received() const {
     return received_;
   }
@@ -36,17 +35,17 @@ class echo_program final : public node_program {
 };
 
 /// Sends one direct message to a fixed target in round 0.
-class direct_sender final : public node_program {
+class direct_sender {
  public:
   direct_sender(node_id target, bool misbehave)
       : target_(target), misbehave_(misbehave) {}
 
-  void on_round(round_context& ctx, std::span<const message>) override {
+  void on_round(round_context& ctx, std::span<const message>) {
     if (ctx.round() == 0 && (misbehave_ || ctx.id() == 0))
       ctx.send(target_, 1, 99, 8);
     done_ = true;
   }
-  [[nodiscard]] bool finished() const override { return done_; }
+  [[nodiscard]] bool finished() const { return done_; }
 
  private:
   node_id target_;
@@ -56,18 +55,18 @@ class direct_sender final : public node_program {
 
 TEST(Engine, MessagesArriveNextRound) {
   const graph::graph g = graph::path_graph(3);
-  engine eng(g, {});
-  eng.load([](node_id) { return std::make_unique<echo_program>(3); });
+  typed_engine<echo_program> eng(g, {});
+  eng.load([](node_id) { return echo_program(3); });
   const run_metrics metrics = eng.run();
 
   // Node 1 hears both ends; ends hear node 1.
-  const auto& mid = eng.program_as<echo_program>(1).received();
+  const auto& mid = eng.program(1).received();
   ASSERT_EQ(mid.size(), 2U);
   EXPECT_EQ(mid[0].from, 0U);
   EXPECT_EQ(mid[1].from, 2U);
   EXPECT_EQ(mid[0].payload, 0U);
   EXPECT_EQ(mid[1].payload, 2U);
-  const auto& left = eng.program_as<echo_program>(0).received();
+  const auto& left = eng.program(0).received();
   ASSERT_EQ(left.size(), 1U);
   EXPECT_EQ(left[0].from, 1U);
   EXPECT_EQ(metrics.rounds, 3U);
@@ -76,10 +75,10 @@ TEST(Engine, MessagesArriveNextRound) {
 
 TEST(Engine, InboxSortedBySender) {
   const graph::graph g = graph::star_graph(6);
-  engine eng(g, {});
-  eng.load([](node_id) { return std::make_unique<echo_program>(2); });
+  typed_engine<echo_program> eng(g, {});
+  eng.load([](node_id) { return echo_program(2); });
   (void)eng.run();
-  const auto& hub = eng.program_as<echo_program>(0).received();
+  const auto& hub = eng.program(0).received();
   ASSERT_EQ(hub.size(), 5U);
   for (std::size_t i = 0; i + 1 < hub.size(); ++i)
     EXPECT_LT(hub[i].from, hub[i + 1].from);
@@ -87,8 +86,8 @@ TEST(Engine, InboxSortedBySender) {
 
 TEST(Engine, MetricsCountBroadcastPerNeighbor) {
   const graph::graph g = graph::complete_graph(4);
-  engine eng(g, {});
-  eng.load([](node_id) { return std::make_unique<echo_program>(2); });
+  typed_engine<echo_program> eng(g, {});
+  eng.load([](node_id) { return echo_program(2); });
   const run_metrics metrics = eng.run();
   // 4 nodes broadcast to 3 neighbors each.
   EXPECT_EQ(metrics.messages_sent, 12U);
@@ -99,44 +98,44 @@ TEST(Engine, MetricsCountBroadcastPerNeighbor) {
 
 TEST(Engine, SendToNonNeighborThrows) {
   const graph::graph g = graph::path_graph(3);  // 0-1-2: 0 and 2 not adjacent
-  engine eng(g, {});
-  eng.load([](node_id) { return std::make_unique<direct_sender>(2, true); });
+  typed_engine<direct_sender> eng(g, {});
+  eng.load([](node_id) { return direct_sender(2, true); });
   EXPECT_THROW((void)eng.run(), std::logic_error);
 }
 
 TEST(Engine, DirectSendReachesTarget) {
   const graph::graph g = graph::path_graph(2);
-  engine eng(g, {});
-  eng.load([](node_id) { return std::make_unique<direct_sender>(1, false); });
+  typed_engine<direct_sender> eng(g, {});
+  eng.load([](node_id) { return direct_sender(1, false); });
   (void)eng.run();  // node 0 sends to neighbor 1; must not throw
 }
 
 TEST(Engine, RoundLimitFlagged) {
   /// A program that never finishes.
-  class immortal final : public node_program {
+  class immortal {
    public:
-    void on_round(round_context&, std::span<const message>) override {}
-    [[nodiscard]] bool finished() const override { return false; }
+    void on_round(round_context&, std::span<const message>) {}
+    [[nodiscard]] bool finished() const { return false; }
   };
   const graph::graph g = graph::path_graph(2);
   engine_config cfg;
   cfg.max_rounds = 10;
-  engine eng(g, cfg);
-  eng.load([](node_id) { return std::make_unique<immortal>(); });
+  typed_engine<immortal> eng(g, cfg);
+  eng.load([](node_id) { return immortal(); });
   const run_metrics metrics = eng.run();
   EXPECT_TRUE(metrics.hit_round_limit);
   EXPECT_EQ(metrics.rounds, 10U);
 }
 
 TEST(Engine, ZeroRoundsWhenAllStartFinished) {
-  class instant final : public node_program {
+  class instant {
    public:
-    void on_round(round_context&, std::span<const message>) override {}
-    [[nodiscard]] bool finished() const override { return true; }
+    void on_round(round_context&, std::span<const message>) {}
+    [[nodiscard]] bool finished() const { return true; }
   };
   const graph::graph g = graph::path_graph(2);
-  engine eng(g, {});
-  eng.load([](node_id) { return std::make_unique<instant>(); });
+  typed_engine<instant> eng(g, {});
+  eng.load([](node_id) { return instant(); });
   const run_metrics metrics = eng.run();
   EXPECT_EQ(metrics.rounds, 0U);
   EXPECT_FALSE(metrics.hit_round_limit);
@@ -146,8 +145,8 @@ TEST(Engine, CongestViolationDetected) {
   const graph::graph g = graph::path_graph(2);
   engine_config cfg;
   cfg.congest_bit_limit = 8;
-  engine eng(g, cfg);
-  eng.load([](node_id) { return std::make_unique<echo_program>(2); });
+  typed_engine<echo_program> eng(g, cfg);
+  eng.load([](node_id) { return echo_program(2); });
   const run_metrics metrics = eng.run();  // echo sends 16-bit messages
   EXPECT_TRUE(metrics.congest_violation);
 }
@@ -156,8 +155,8 @@ TEST(Engine, CongestWithinLimitClean) {
   const graph::graph g = graph::path_graph(2);
   engine_config cfg;
   cfg.congest_bit_limit = 16;
-  engine eng(g, cfg);
-  eng.load([](node_id) { return std::make_unique<echo_program>(2); });
+  typed_engine<echo_program> eng(g, cfg);
+  eng.load([](node_id) { return echo_program(2); });
   EXPECT_FALSE(eng.run().congest_violation);
 }
 
@@ -166,15 +165,15 @@ TEST(Engine, DropAdversaryRemovesMessages) {
   engine_config cfg;
   cfg.seed = 5;
   cfg.drop_probability = 0.5;
-  engine eng(g, cfg);
-  eng.load([](node_id) { return std::make_unique<echo_program>(2); });
+  typed_engine<echo_program> eng(g, cfg);
+  eng.load([](node_id) { return echo_program(2); });
   const run_metrics metrics = eng.run();
   EXPECT_EQ(metrics.messages_sent, 380U);  // sends are counted pre-drop
   EXPECT_GT(metrics.messages_dropped, 100U);
   EXPECT_LT(metrics.messages_dropped, 280U);
   std::size_t received_total = 0;
   for (node_id v = 0; v < 20; ++v)
-    received_total += eng.program_as<echo_program>(v).received().size();
+    received_total += eng.program(v).received().size();
   EXPECT_EQ(received_total, metrics.messages_sent - metrics.messages_dropped);
 }
 
@@ -188,29 +187,29 @@ TEST(Engine, DroppedMessagesDoNotInflatePerNodeSendCount) {
   engine_config cfg;
   cfg.seed = 5;
   cfg.drop_probability = 1.0;
-  engine eng(g, cfg);
-  eng.load([](node_id) { return std::make_unique<echo_program>(2); });
+  typed_engine<echo_program> eng(g, cfg);
+  eng.load([](node_id) { return echo_program(2); });
   const run_metrics metrics = eng.run();
   EXPECT_EQ(metrics.messages_sent, 380U);
   EXPECT_EQ(metrics.messages_dropped, 380U);
   EXPECT_EQ(metrics.max_messages_per_node, 0U);
   for (node_id v = 0; v < 20; ++v)
-    EXPECT_TRUE(eng.program_as<echo_program>(v).received().empty());
+    EXPECT_TRUE(eng.program(v).received().empty());
 }
 
 TEST(Engine, MultipleMessagesPerEdgeStayInSendOrder) {
   // Overflow path: three messages down one edge in one round must arrive
   // contiguously, sorted by sender, in send order.
-  class burst final : public node_program {
+  class burst {
    public:
-    void on_round(round_context& ctx, std::span<const message> inbox) override {
+    void on_round(round_context& ctx, std::span<const message> inbox) {
       for (const message& msg : inbox) received_.push_back(msg);
       if (ctx.round() == 0 && ctx.id() != 1) {
         for (std::uint64_t i = 0; i < 3; ++i) ctx.send(1, 4, 10 * ctx.id() + i, 8);
       }
       if (ctx.round() >= 1) done_ = true;
     }
-    [[nodiscard]] bool finished() const override { return done_; }
+    [[nodiscard]] bool finished() const { return done_; }
     std::vector<message> received_;
 
    private:
@@ -218,10 +217,10 @@ TEST(Engine, MultipleMessagesPerEdgeStayInSendOrder) {
   };
   // Path 0-1-2: node 1 receives two three-message bursts.
   const graph::graph g = graph::path_graph(3);
-  engine eng(g, {});
-  eng.load([](node_id) { return std::make_unique<burst>(); });
+  typed_engine<burst> eng(g, {});
+  eng.load([](node_id) { return burst(); });
   (void)eng.run();
-  const auto& mid = eng.program_as<burst>(1).received_;
+  const auto& mid = eng.program(1).received_;
   ASSERT_EQ(mid.size(), 6U);
   const std::uint64_t expected[] = {0, 1, 2, 20, 21, 22};
   for (std::size_t i = 0; i < 6; ++i) {
@@ -236,27 +235,27 @@ TEST(Engine, HubBurstsKeepPerSenderOrderAndStaySubcubic) {
   // rescanned): each leaf must see the hub's burst contiguously in send
   // order, and the hub must see every leaf's burst sorted by sender.
   constexpr std::uint64_t burst = 3;
-  class burster final : public node_program {
+  class burster {
    public:
-    void on_round(round_context& ctx, std::span<const message> inbox) override {
+    void on_round(round_context& ctx, std::span<const message> inbox) {
       for (const message& msg : inbox) received_.push_back(msg);
       if (ctx.round() == 0)
         for (std::uint64_t i = 0; i < burst; ++i)
           ctx.broadcast(2, 100 * ctx.id() + i, 8);
       if (ctx.round() >= 1) done_ = true;
     }
-    [[nodiscard]] bool finished() const override { return done_; }
+    [[nodiscard]] bool finished() const { return done_; }
     std::vector<message> received_;
 
    private:
     bool done_ = false;
   };
   const graph::graph g = graph::star_graph(40);  // hub 0, leaves 1..39
-  engine eng(g, {});
-  eng.load([](node_id) { return std::make_unique<burster>(); });
+  typed_engine<burster> eng(g, {});
+  eng.load([](node_id) { return burster(); });
   (void)eng.run();
 
-  const auto& hub = eng.program_as<burster>(0).received_;
+  const auto& hub = eng.program(0).received_;
   ASSERT_EQ(hub.size(), 39U * burst);
   for (std::size_t i = 0; i < hub.size(); ++i) {
     const node_id sender = static_cast<node_id>(1 + i / burst);
@@ -264,7 +263,7 @@ TEST(Engine, HubBurstsKeepPerSenderOrderAndStaySubcubic) {
     EXPECT_EQ(hub[i].payload, 100ULL * sender + i % burst);
   }
   for (node_id leaf = 1; leaf < 40; ++leaf) {
-    const auto& rec = eng.program_as<burster>(leaf).received_;
+    const auto& rec = eng.program(leaf).received_;
     ASSERT_EQ(rec.size(), burst);
     for (std::uint64_t i = 0; i < burst; ++i) {
       EXPECT_EQ(rec[i].from, 0U);
@@ -279,8 +278,8 @@ TEST(Engine, DeterministicPerSeed) {
     engine_config cfg;
     cfg.seed = seed;
     cfg.drop_probability = 0.3;
-    engine eng(g, cfg);
-    eng.load([](node_id) { return std::make_unique<echo_program>(2); });
+    typed_engine<echo_program> eng(g, cfg);
+    eng.load([](node_id) { return echo_program(2); });
     return eng.run().messages_dropped;
   };
   EXPECT_EQ(run_once(11), run_once(11));
@@ -289,8 +288,8 @@ TEST(Engine, DeterministicPerSeed) {
 
 TEST(Engine, RoundObserverFiresEachRound) {
   const graph::graph g = graph::path_graph(3);
-  engine eng(g, {});
-  eng.load([](node_id) { return std::make_unique<echo_program>(4); });
+  typed_engine<echo_program> eng(g, {});
+  eng.load([](node_id) { return echo_program(4); });
   std::vector<std::size_t> observed;
   eng.set_round_observer([&](std::size_t r) { observed.push_back(r); });
   (void)eng.run();
@@ -300,39 +299,38 @@ TEST(Engine, RoundObserverFiresEachRound) {
 
 TEST(Engine, LoadTwiceThrows) {
   const graph::graph g = graph::path_graph(2);
-  engine eng(g, {});
-  const auto factory = [](node_id) { return std::make_unique<echo_program>(1); };
+  typed_engine<echo_program> eng(g, {});
+  const auto factory = [](node_id) { return echo_program(1); };
   eng.load(factory);
   EXPECT_THROW(eng.load(factory), std::logic_error);
 }
 
 TEST(Engine, RunWithoutLoadThrows) {
   const graph::graph g = graph::path_graph(2);
-  engine eng(g, {});
+  typed_engine<echo_program> eng(g, {});
   EXPECT_THROW((void)eng.run(), std::logic_error);
 }
 
 TEST(Engine, NodeRandomStreamsDiffer) {
-  class roller final : public node_program {
+  class roller {
    public:
-    void on_round(round_context& ctx, std::span<const message>) override {
+    void on_round(round_context& ctx, std::span<const message>) {
       value_ = ctx.random()();
       done_ = true;
     }
-    [[nodiscard]] bool finished() const override { return done_; }
+    [[nodiscard]] bool finished() const { return done_; }
     std::uint64_t value_ = 0;
 
    private:
     bool done_ = false;
   };
   const graph::graph g = graph::empty_graph(8);
-  engine eng(g, {});
-  eng.load([](node_id) { return std::make_unique<roller>(); });
+  typed_engine<roller> eng(g, {});
+  eng.load([](node_id) { return roller(); });
   (void)eng.run();
   for (node_id a = 0; a < 8; ++a)
     for (node_id b = a + 1; b < 8; ++b)
-      EXPECT_NE(eng.program_as<roller>(a).value_,
-                eng.program_as<roller>(b).value_);
+      EXPECT_NE(eng.program(a).value_, eng.program(b).value_);
 }
 
 TEST(BitsForValues, Widths) {

@@ -25,7 +25,6 @@ namespace domset {
 namespace {
 
 using graph::node_id;
-using sim::delivery_mode;
 using sim::fault_plan;
 using sim::fault_window;
 using sim::parse_fault_plan;
@@ -135,12 +134,11 @@ TEST(FaultCompile, OutOfRangeNodeThrows) {
 
 /// Deterministic flood: one message per neighbor per round for `lifetime`
 /// rounds, then finish.  No RNG, so every delivery count is derivable.
-class flood_program final : public sim::node_program {
+class flood_program {
  public:
   explicit flood_program(std::size_t lifetime) : lifetime_(lifetime) {}
 
-  void on_round(sim::round_context& ctx,
-                std::span<const sim::message> inbox) override {
+  void on_round(sim::round_context& ctx, std::span<const sim::message> inbox) {
     received_ += inbox.size();
     for (const sim::message& msg : inbox)
       digest_ = digest_ * 1099511628211ULL ^ (msg.payload + msg.from);
@@ -152,7 +150,7 @@ class flood_program final : public sim::node_program {
       ctx.send(u, 1, 1000 * ctx.id() + ctx.round(), 8);
   }
 
-  [[nodiscard]] bool finished() const override { return done_; }
+  [[nodiscard]] bool finished() const { return done_; }
   [[nodiscard]] std::uint64_t received() const { return received_; }
   [[nodiscard]] std::uint64_t digest() const { return digest_; }
 
@@ -170,22 +168,20 @@ struct flood_outcome {
 };
 
 flood_outcome run_flood(const graph::graph& g, const std::string& faults,
-                        std::size_t lifetime = 4, std::size_t threads = 1,
-                        delivery_mode delivery = delivery_mode::push) {
+                        std::size_t lifetime = 4, std::size_t threads = 1) {
   sim::engine_config cfg;
   cfg.seed = 99;
   cfg.max_rounds = 50;
   cfg.threads = threads;
-  cfg.delivery = delivery;
   fault_plan plan = parse_fault_plan(faults);
   if (!plan.empty())
     cfg.faults = std::make_shared<const fault_plan>(std::move(plan));
-  sim::engine eng(g, cfg);
-  eng.load([&](node_id) { return std::make_unique<flood_program>(lifetime); });
+  sim::typed_engine<flood_program> eng(g, cfg);
+  eng.load([&](node_id) { return flood_program(lifetime); });
   flood_outcome out;
   out.metrics = eng.run();
   for (node_id v = 0; v < g.node_count(); ++v) {
-    const auto& prog = eng.program_as<flood_program>(v);
+    const auto& prog = eng.program(v);
     out.received.push_back(prog.received());
     out.digests.push_back(prog.digest());
   }
@@ -299,12 +295,12 @@ TEST(FaultSemantics, BurstComposesWithBaseDrop) {
   cfg.drop_probability = 0.5;
   cfg.faults = std::make_shared<const fault_plan>(parse_fault_plan("burst@1"));
   const graph::graph g = graph::complete_graph(6);
-  sim::engine eng(g, cfg);
-  eng.load([](node_id) { return std::make_unique<flood_program>(4); });
+  sim::typed_engine<flood_program> eng(g, cfg);
+  eng.load([](node_id) { return flood_program(4); });
   const sim::run_metrics m = eng.run();
   std::uint64_t delivered = 0;
   for (node_id v = 0; v < g.node_count(); ++v)
-    delivered += eng.program_as<flood_program>(v).received();
+    delivered += eng.program(v).received();
   EXPECT_EQ(delivered + m.messages_dropped, m.messages_sent);
   EXPECT_EQ(m.messages_lost_to_faults, 0U);
   // Round 1's 30 messages are certainly gone, so drops exceed them.
@@ -314,7 +310,7 @@ TEST(FaultSemantics, BurstComposesWithBaseDrop) {
 TEST(FaultSemantics, FaultyRunsBitIdenticalAcrossGrid) {
   // The full determinism contract under one plan exercising every fault
   // kind at once: same digests, same received counts, same counters for
-  // {push, pull, auto} x {1, 2, 8}.
+  // {1, 2, 4, 8} workers.
   common::rng gen(321);
   const graph::graph graphs[] = {graph::gnp_random(80, 0.08, gen),
                                  graph::star_graph(40),
@@ -323,27 +319,21 @@ TEST(FaultSemantics, FaultyRunsBitIdenticalAcrossGrid) {
       "crash=3@2+crash=5@1-3+link=0-1@1-6:flap=2/3+burst@2-4:p=0.4+"
       "dup@1-5:p=0.3";
   for (const auto& g : graphs) {
-    const auto serial = run_flood(g, plan, 8, 1, delivery_mode::push);
-    for (const delivery_mode mode :
-         {delivery_mode::push, delivery_mode::pull, delivery_mode::automatic}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                        std::size_t{8}}) {
-        const auto run = run_flood(g, plan, 8, threads, mode);
-        EXPECT_EQ(run.digests, serial.digests)
-            << g.summary() << " threads=" << threads
-            << " delivery=" << to_string(mode);
-        EXPECT_EQ(run.received, serial.received);
-        EXPECT_EQ(run.metrics.messages_sent, serial.metrics.messages_sent);
-        EXPECT_EQ(run.metrics.messages_dropped,
-                  serial.metrics.messages_dropped);
-        EXPECT_EQ(run.metrics.messages_lost_to_faults,
-                  serial.metrics.messages_lost_to_faults);
-        EXPECT_EQ(run.metrics.messages_duplicated,
-                  serial.metrics.messages_duplicated);
-        EXPECT_EQ(run.metrics.node_rounds_down,
-                  serial.metrics.node_rounds_down);
-        EXPECT_EQ(run.metrics.nodes_crashed, serial.metrics.nodes_crashed);
-      }
+    const auto serial = run_flood(g, plan, 8, 1);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{4}, std::size_t{8}}) {
+      const auto run = run_flood(g, plan, 8, threads);
+      EXPECT_EQ(run.digests, serial.digests)
+          << g.summary() << " threads=" << threads;
+      EXPECT_EQ(run.received, serial.received);
+      EXPECT_EQ(run.metrics.messages_sent, serial.metrics.messages_sent);
+      EXPECT_EQ(run.metrics.messages_dropped, serial.metrics.messages_dropped);
+      EXPECT_EQ(run.metrics.messages_lost_to_faults,
+                serial.metrics.messages_lost_to_faults);
+      EXPECT_EQ(run.metrics.messages_duplicated,
+                serial.metrics.messages_duplicated);
+      EXPECT_EQ(run.metrics.node_rounds_down, serial.metrics.node_rounds_down);
+      EXPECT_EQ(run.metrics.nodes_crashed, serial.metrics.nodes_crashed);
     }
   }
 }

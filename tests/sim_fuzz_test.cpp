@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
-#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -18,11 +17,11 @@ using graph::node_id;
 
 /// Sends a random subset of neighbors random payloads each round for a
 /// random lifetime; records everything received.
-class chaos_program final : public node_program {
+class chaos_program {
  public:
   explicit chaos_program(std::size_t lifetime) : lifetime_(lifetime) {}
 
-  void on_round(round_context& ctx, std::span<const message> inbox) override {
+  void on_round(round_context& ctx, std::span<const message> inbox) {
     received_ += inbox.size();
     for (std::size_t i = 1; i < inbox.size(); ++i)
       ordered_ &= inbox[i - 1].from <= inbox[i].from;
@@ -45,7 +44,7 @@ class chaos_program final : public node_program {
     }
   }
 
-  [[nodiscard]] bool finished() const override { return done_; }
+  [[nodiscard]] bool finished() const { return done_; }
   [[nodiscard]] std::uint64_t sent() const { return sent_; }
   [[nodiscard]] std::uint64_t received() const { return received_; }
   [[nodiscard]] bool ordered() const { return ordered_; }
@@ -66,23 +65,21 @@ struct fuzz_outcome {
 };
 
 fuzz_outcome run_fuzz(const graph::graph& g, std::uint64_t seed, double drop,
-                      std::size_t threads = 1,
-                      delivery_mode delivery = delivery_mode::automatic) {
+                      std::size_t threads = 1) {
   engine_config cfg;
   cfg.seed = seed;
   cfg.drop_probability = drop;
   cfg.max_rounds = 200;
   cfg.threads = threads;
-  cfg.delivery = delivery;
-  engine eng(g, cfg);
+  typed_engine<chaos_program> eng(g, cfg);
   common::rng lifetimes(seed ^ 0x5eedULL);
   eng.load([&](node_id) {
-    return std::make_unique<chaos_program>(3 + lifetimes.next_below(20));
+    return chaos_program(3 + lifetimes.next_below(20));
   });
   fuzz_outcome out;
   out.metrics = eng.run();
   for (node_id v = 0; v < g.node_count(); ++v) {
-    const auto& prog = eng.program_as<chaos_program>(v);
+    const auto& prog = eng.program(v);
     out.declared_sent += prog.sent();
     out.delivered += prog.received();
     out.all_ordered &= prog.ordered();
@@ -96,20 +93,15 @@ TEST(SimFuzz, ConservationAndOrderingAcrossTopologies) {
       graph::complete_graph(12),     graph::cycle_graph(20),
       graph::star_graph(15),         graph::gnp_random(40, 0.1, gen),
       graph::grid_graph(5, 5),       graph::barabasi_albert(30, 2, gen)};
-  // The invariants must hold for every worker count and delivery mode,
-  // and the pooled runs give the sanitizer jobs real multi-threaded
-  // traffic to chew on (pull mode adds the cross-thread gather loads).
-  // The two indices are decorrelated (seed vs seed / 3) so the seeds
-  // sample mixed {mode x threads} cells -- including pull at 8 threads --
-  // instead of locking each mode to one thread count; the exhaustive grid
-  // lives in FullDeterminism below.
-  const std::size_t thread_counts[] = {1, 2, 8};
-  const delivery_mode modes[] = {delivery_mode::push, delivery_mode::pull,
-                                 delivery_mode::automatic};
+  // The invariants must hold for every worker count, and the pooled runs
+  // give the sanitizer jobs real multi-threaded traffic to chew on.  The
+  // seeds cycle through the thread counts; the exhaustive grid lives in
+  // FullDeterminism below.
+  const std::size_t thread_counts[] = {1, 2, 4, 8};
   for (const auto& g : graphs) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      const auto out = run_fuzz(g, seed, 0.0, thread_counts[seed % 3],
-                                modes[(seed / 3) % std::size(modes)]);
+      const std::size_t t = thread_counts[seed % std::size(thread_counts)];
+      const auto out = run_fuzz(g, seed, 0.0, t);
       EXPECT_EQ(out.metrics.messages_sent, out.declared_sent) << g.summary();
       // Reliable network: everything sent before termination is delivered
       // except messages sent in the final round (engine stops once all
@@ -149,29 +141,24 @@ TEST(SimFuzz, BitAccountingIsExact) {
 }
 
 TEST(SimFuzz, FullDeterminism) {
-  // Every {delivery mode x thread count} cell must reproduce the serial
-  // push run exactly -- delivery and threading are wall-clock knobs only.
+  // Every thread count must reproduce the serial run exactly -- threading
+  // is a wall-clock knob only.
   common::rng gen(1804);
   const graph::graph graphs[] = {graph::gnp_random(35, 0.15, gen),
                                  graph::star_graph(80)};
   for (const auto& g : graphs) {
     for (const double drop : {0.0, 0.3}) {
-      const auto a = run_fuzz(g, 99, drop, /*threads=*/1, delivery_mode::push);
-      for (const delivery_mode mode :
-           {delivery_mode::push, delivery_mode::pull,
-            delivery_mode::automatic}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                          std::size_t{8}}) {
-          const auto b = run_fuzz(g, 99, drop, threads, mode);
-          EXPECT_EQ(a.metrics.messages_sent, b.metrics.messages_sent)
-              << g.summary() << " " << to_string(mode) << " t=" << threads;
-          EXPECT_EQ(a.metrics.bits_sent, b.metrics.bits_sent);
-          EXPECT_EQ(a.metrics.rounds, b.metrics.rounds);
-          EXPECT_EQ(a.metrics.messages_dropped, b.metrics.messages_dropped);
-          EXPECT_EQ(a.delivered, b.delivered);
-          EXPECT_TRUE(b.all_ordered)
-              << g.summary() << " " << to_string(mode) << " t=" << threads;
-        }
+      const auto a = run_fuzz(g, 99, drop, /*threads=*/1);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                        std::size_t{4}, std::size_t{8}}) {
+        const auto b = run_fuzz(g, 99, drop, threads);
+        EXPECT_EQ(a.metrics.messages_sent, b.metrics.messages_sent)
+            << g.summary() << " t=" << threads;
+        EXPECT_EQ(a.metrics.bits_sent, b.metrics.bits_sent);
+        EXPECT_EQ(a.metrics.rounds, b.metrics.rounds);
+        EXPECT_EQ(a.metrics.messages_dropped, b.metrics.messages_dropped);
+        EXPECT_EQ(a.delivered, b.delivered);
+        EXPECT_TRUE(b.all_ordered) << g.summary() << " t=" << threads;
       }
     }
   }

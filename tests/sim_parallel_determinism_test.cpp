@@ -1,10 +1,9 @@
 // The flat-mailbox engine promises bit-identical output for every thread
-// count AND every delivery mode: node randomness, drop decisions, slot
-// addressing, and metric folds are all derived per node, never from
-// execution order or from where a message physically waited between
-// rounds.  These tests pin that promise on the public algorithm APIs
-// (Alg2 end to end) and on a chaos program fuzzing the raw engine across
-// the {push, pull, auto} x {1, 2, 8} grid.
+// count: node randomness, drop decisions, slot addressing, and metric
+// folds are all derived per node, never from execution order.  These
+// tests pin that promise on the public algorithm APIs (Alg2 end to end)
+// and on a chaos program fuzzing the raw engine across {1, 2, 4, 8}
+// workers.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -24,11 +23,8 @@ namespace domset {
 namespace {
 
 using graph::node_id;
-using sim::delivery_mode;
 
-constexpr std::array<std::size_t, 3> thread_counts = {1, 2, 8};
-constexpr std::array<delivery_mode, 3> delivery_modes = {
-    delivery_mode::push, delivery_mode::pull, delivery_mode::automatic};
+constexpr std::array<std::size_t, 4> thread_counts = {1, 2, 4, 8};
 
 void expect_same_metrics(const sim::run_metrics& a, const sim::run_metrics& b,
                          std::size_t threads) {
@@ -58,23 +54,17 @@ TEST(ParallelDeterminism, Alg2IdenticalAcrossThreadCounts) {
     core::lp_approx_params params;
     params.k = 3;
     params.exec.seed = 9;
-    params.exec.delivery = delivery_mode::push;
     const auto serial = core::approximate_lp_known_delta(g, params);
-    for (const delivery_mode mode : delivery_modes) {
-      for (const std::size_t t : thread_counts) {
-        params.exec.delivery = mode;
-        params.exec.threads = t;
-        const auto run = core::approximate_lp_known_delta(g, params);
-        // Bitwise-equal x vectors: the doubles decode from the same integer
-        // exponents, so exact comparison is the correct assertion.
-        ASSERT_EQ(run.x.size(), serial.x.size());
-        for (std::size_t v = 0; v < run.x.size(); ++v)
-          EXPECT_EQ(run.x[v], serial.x[v])
-              << "threads=" << t << " delivery=" << to_string(mode)
-              << " v=" << v;
-        EXPECT_EQ(run.objective, serial.objective) << "threads=" << t;
-        expect_same_metrics(run.metrics, serial.metrics, t);
-      }
+    for (const std::size_t t : thread_counts) {
+      params.exec.threads = t;
+      const auto run = core::approximate_lp_known_delta(g, params);
+      // Bitwise-equal x vectors: the doubles decode from the same integer
+      // exponents, so exact comparison is the correct assertion.
+      ASSERT_EQ(run.x.size(), serial.x.size());
+      for (std::size_t v = 0; v < run.x.size(); ++v)
+        EXPECT_EQ(run.x[v], serial.x[v]) << "threads=" << t << " v=" << v;
+      EXPECT_EQ(run.objective, serial.objective) << "threads=" << t;
+      expect_same_metrics(run.metrics, serial.metrics, t);
     }
   }
 }
@@ -86,31 +76,24 @@ TEST(ParallelDeterminism, Alg3IdenticalUnderMessageLoss) {
   params.k = 2;
   params.exec.seed = 31;
   params.exec.drop_probability = 0.3;  // drop streams are per sender: order-free
-  params.exec.delivery = delivery_mode::push;
   const auto serial = core::approximate_lp(g, params);
-  for (const delivery_mode mode : delivery_modes) {
-    for (const std::size_t t : thread_counts) {
-      params.exec.delivery = mode;
-      params.exec.threads = t;
-      const auto run = core::approximate_lp(g, params);
-      for (std::size_t v = 0; v < run.x.size(); ++v)
-        EXPECT_EQ(run.x[v], serial.x[v])
-            << "threads=" << t << " delivery=" << to_string(mode)
-            << " v=" << v;
-      expect_same_metrics(run.metrics, serial.metrics, t);
-    }
+  for (const std::size_t t : thread_counts) {
+    params.exec.threads = t;
+    const auto run = core::approximate_lp(g, params);
+    for (std::size_t v = 0; v < run.x.size(); ++v)
+      EXPECT_EQ(run.x[v], serial.x[v]) << "threads=" << t << " v=" << v;
+    expect_same_metrics(run.metrics, serial.metrics, t);
   }
 }
 
 /// Chaos program for the raw engine: random sends, broadcasts, and
 /// per-edge message bursts (to exercise the overflow path), with a
 /// digest of everything received.
-class chaos_program final : public sim::node_program {
+class chaos_program {
  public:
   explicit chaos_program(std::size_t lifetime) : lifetime_(lifetime) {}
 
-  void on_round(sim::round_context& ctx,
-                std::span<const sim::message> inbox) override {
+  void on_round(sim::round_context& ctx, std::span<const sim::message> inbox) {
     for (const sim::message& msg : inbox)
       digest_ = digest_ * 1099511628211ULL ^
                 (msg.payload + msg.from + msg.tag + msg.bits);
@@ -131,7 +114,7 @@ class chaos_program final : public sim::node_program {
       ctx.broadcast(7, gen(), 4);
   }
 
-  [[nodiscard]] bool finished() const override { return done_; }
+  [[nodiscard]] bool finished() const { return done_; }
   [[nodiscard]] std::uint64_t digest() const { return digest_; }
   [[nodiscard]] std::uint64_t received() const { return received_; }
 
@@ -150,26 +133,24 @@ struct chaos_outcome {
 
 chaos_outcome run_chaos(const graph::graph& g, std::uint64_t seed, double drop,
                         std::size_t threads,
-                        delivery_mode delivery = delivery_mode::automatic,
                         const std::string& faults = "none") {
   sim::engine_config cfg;
   cfg.seed = seed;
   cfg.drop_probability = drop;
   cfg.max_rounds = 100;
   cfg.threads = threads;
-  cfg.delivery = delivery;
   sim::fault_plan plan = sim::parse_fault_plan(faults);
   if (!plan.empty())
     cfg.faults = std::make_shared<const sim::fault_plan>(std::move(plan));
-  sim::engine eng(g, cfg);
+  sim::typed_engine<chaos_program> eng(g, cfg);
   common::rng lifetimes(seed ^ 0x5eedULL);
   eng.load([&](node_id) {
-    return std::make_unique<chaos_program>(3 + lifetimes.next_below(12));
+    return chaos_program(3 + lifetimes.next_below(12));
   });
   chaos_outcome out;
   out.metrics = eng.run();
   for (node_id v = 0; v < g.node_count(); ++v) {
-    const auto& prog = eng.program_as<chaos_program>(v);
+    const auto& prog = eng.program(v);
     out.digests.push_back(prog.digest());
     out.received.push_back(prog.received());
   }
@@ -198,13 +179,12 @@ TEST(ParallelDeterminism, ChaosFuzzAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelDeterminism, ChaosFuzzAcrossDeliveryModes) {
-  // The delivery grid on the topologies where push and pull lay messages
-  // out most differently: a hub-dominated star (pull's target case, and
-  // `auto` resolves to pull), a bounded-degree grid (`auto` resolves to
-  // push) and a heavy-tailed power-law graph.  The chaos program mixes
-  // targeted sends, broadcasts, and same-edge bursts, so the lane,
-  // demotion, and overflow paths all run in both modes.
+TEST(ParallelDeterminism, ChaosFuzzOnHubTopologies) {
+  // The thread grid on degree-skewed topologies, where every worker
+  // scatters into the same hub rows: a hub-dominated star, a
+  // bounded-degree grid for contrast and a heavy-tailed power-law graph.
+  // The chaos program mixes targeted sends, broadcasts, and same-edge
+  // bursts, so the lane, demotion, and overflow paths all run.
   common::rng gen(4715);
   const graph::graph graphs[] = {graph::star_graph(96),
                                  graph::grid_graph(10, 10),
@@ -212,18 +192,14 @@ TEST(ParallelDeterminism, ChaosFuzzAcrossDeliveryModes) {
   for (const auto& g : graphs) {
     for (const double drop : {0.0, 0.25}) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        const auto serial = run_chaos(g, seed, drop, 1, delivery_mode::push);
-        for (const delivery_mode mode : delivery_modes) {
-          for (const std::size_t t : thread_counts) {
-            const auto run = run_chaos(g, seed, drop, t, mode);
-            EXPECT_EQ(run.digests, serial.digests)
-                << g.summary() << " threads=" << t
-                << " delivery=" << to_string(mode) << " drop=" << drop;
-            EXPECT_EQ(run.received, serial.received)
-                << g.summary() << " threads=" << t
-                << " delivery=" << to_string(mode);
-            expect_same_metrics(run.metrics, serial.metrics, t);
-          }
+        const auto serial = run_chaos(g, seed, drop, 1);
+        for (const std::size_t t : thread_counts) {
+          const auto run = run_chaos(g, seed, drop, t);
+          EXPECT_EQ(run.digests, serial.digests)
+              << g.summary() << " threads=" << t << " drop=" << drop;
+          EXPECT_EQ(run.received, serial.received)
+              << g.summary() << " threads=" << t;
+          expect_same_metrics(run.metrics, serial.metrics, t);
         }
       }
     }
@@ -244,19 +220,16 @@ TEST(ParallelDeterminism, ChaosFuzzWithFaultPlan) {
       "dup@2-9:p=0.2";
   for (const auto& g : graphs) {
     for (const double drop : {0.0, 0.25}) {
-      const auto serial = run_chaos(g, 11, drop, 1, delivery_mode::push, plan);
+      const auto serial = run_chaos(g, 11, drop, 1, plan);
       EXPECT_EQ(serial.metrics.nodes_crashed, 2U) << g.summary();
       EXPECT_GT(serial.metrics.node_rounds_down, 0U) << g.summary();
-      for (const delivery_mode mode : delivery_modes) {
-        for (const std::size_t t : thread_counts) {
-          const auto run = run_chaos(g, 11, drop, t, mode, plan);
-          EXPECT_EQ(run.digests, serial.digests)
-              << g.summary() << " threads=" << t
-              << " delivery=" << to_string(mode) << " drop=" << drop;
-          EXPECT_EQ(run.received, serial.received)
-              << g.summary() << " threads=" << t;
-          expect_same_metrics(run.metrics, serial.metrics, t);
-        }
+      for (const std::size_t t : thread_counts) {
+        const auto run = run_chaos(g, 11, drop, t, plan);
+        EXPECT_EQ(run.digests, serial.digests)
+            << g.summary() << " threads=" << t << " drop=" << drop;
+        EXPECT_EQ(run.received, serial.received)
+            << g.summary() << " threads=" << t;
+        expect_same_metrics(run.metrics, serial.metrics, t);
       }
     }
   }

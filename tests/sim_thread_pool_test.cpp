@@ -120,12 +120,11 @@ TEST(ThreadPool, SerialPoolRunsInline) {
 
 // ---------------------------------------------------------- engine reuse
 
-/// Counts messages seen; broadcast-heavy so the parallel delivery phase
-/// (broadcast-lane retirement) runs every round.
-class echo_program final : public sim::node_program {
+/// Counts messages seen; broadcast-heavy so the parallel retirement phase
+/// (broadcast-lane clearing) runs every round.
+class echo_program {
  public:
-  void on_round(sim::round_context& ctx,
-                std::span<const sim::message> inbox) override {
+  void on_round(sim::round_context& ctx, std::span<const sim::message> inbox) {
     digest_ = digest_ * 31 + inbox.size();
     if (ctx.round() >= 6) {
       done_ = true;
@@ -133,7 +132,7 @@ class echo_program final : public sim::node_program {
     }
     ctx.broadcast(1, digest_, 8);
   }
-  [[nodiscard]] bool finished() const override { return done_; }
+  [[nodiscard]] bool finished() const { return done_; }
   [[nodiscard]] std::uint64_t digest() const { return digest_; }
 
  private:
@@ -143,12 +142,12 @@ class echo_program final : public sim::node_program {
 
 std::vector<std::uint64_t> run_echo(const graph::graph& g,
                                     sim::engine_config cfg) {
-  sim::engine eng(g, cfg);
-  eng.load([](node_id) { return std::make_unique<echo_program>(); });
+  sim::typed_engine<echo_program> eng(g, cfg);
+  eng.load([](node_id) { return echo_program(); });
   eng.run();
   std::vector<std::uint64_t> digests;
   for (node_id v = 0; v < g.node_count(); ++v)
-    digests.push_back(eng.program_as<echo_program>(v).digest());
+    digests.push_back(eng.program(v).digest());
   return digests;
 }
 

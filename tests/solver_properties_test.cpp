@@ -7,7 +7,7 @@
 //
 //   * validity: the output dominates the graph;
 //   * determinism: digest + run metrics are bit-identical across
-//     {push, pull} x {1, 2, 8} threads (docs/threading.md contract);
+//     {1, 2, 4, 8} threads (docs/threading.md contract);
 //   * soundness: size >= OPT (exact branch-and-bound) and size >= the
 //     LP dual lower bound; solvers carrying a *worst-case* certificate
 //     (arboricity's per-instance bound, greedy's H(Delta + 1)) must also
@@ -93,7 +93,6 @@ TEST_P(SolverProperties, ValidAndDeterministicAcrossDeliveryAndThreads) {
 
   exec::context reference_exec;
   reference_exec.seed = kSeed;
-  reference_exec.delivery = sim::delivery_mode::push;
   reference_exec.threads = 1;
   const api::solve_result reference = run_solver(solver(), g, reference_exec);
 
@@ -105,20 +104,14 @@ TEST_P(SolverProperties, ValidAndDeterministicAcrossDeliveryAndThreads) {
   EXPECT_EQ(reference.size, verify::set_size(reference.in_set));
   const std::uint64_t reference_digest = api::solution_digest(reference);
 
-  for (const sim::delivery_mode delivery :
-       {sim::delivery_mode::push, sim::delivery_mode::pull}) {
-    for (const std::size_t threads : {1UL, 2UL, 8UL}) {
-      if (delivery == sim::delivery_mode::push && threads == 1) continue;
-      exec::context exec = reference_exec;
-      exec.delivery = delivery;
-      exec.threads = threads;
-      const api::solve_result probe = run_solver(solver(), g, exec);
-      EXPECT_EQ(api::solution_digest(probe), reference_digest)
-          << solver() << " on " << family() << " diverged at "
-          << (delivery == sim::delivery_mode::push ? "push" : "pull") << "/"
-          << threads << " threads";
-      expect_metrics_equal(probe.metrics, reference.metrics);
-    }
+  for (const std::size_t threads : {2UL, 4UL, 8UL}) {
+    exec::context exec = reference_exec;
+    exec.threads = threads;
+    const api::solve_result probe = run_solver(solver(), g, exec);
+    EXPECT_EQ(api::solution_digest(probe), reference_digest)
+        << solver() << " on " << family() << " diverged at " << threads
+        << " threads";
+    expect_metrics_equal(probe.metrics, reference.metrics);
   }
 }
 

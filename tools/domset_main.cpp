@@ -6,11 +6,11 @@
 ///       enumerate registered solvers and graph families
 ///   domset run --alg pipeline --graph gnp --n 100000 --k 3 --json
 ///       build the graph, run the solver under the shared exec flags
-///       (--seed --threads --delivery --drop --congest-bits), verify the
+///       (--seed --threads --drop --congest-bits), verify the
 ///       output, and print a human summary or the stable domset-run/1
 ///       JSON record (see api/result_json.hpp)
 ///   domset bench --alg pipeline,greedy --graph gnp,star --n 5000
-///                --seeds 1,2 --delivery push,pull --threads 1,2 --json
+///                --seeds 1,2 --threads 1,2 --json
 ///       declarative sweep over the comma-listed axes through the bench
 ///       runner (api/bench_runner.hpp): every cell on one shared worker
 ///       pool, repeat-interleaved timings, one domset-bench/1 document
@@ -65,7 +65,6 @@
 #include "graph/io.hpp"
 #include "serve/load.hpp"
 #include "serve/server.hpp"
-#include "sim/delivery.hpp"
 #include "verify/verify.hpp"
 
 namespace {
@@ -293,7 +292,7 @@ int cmd_run(int argc, const char* const* argv) {
   return record.valid ? 0 : 1;
 }
 
-/// Splits a comma-separated flag value ("push,pull" -> {"push", "pull"}).
+/// Splits a comma-separated flag value ("gnp,star" -> {"gnp", "star"}).
 /// Empty items (a trailing or doubled comma) are rejected -- a sweep axis
 /// with a silent hole would skew the cross product.
 std::vector<std::string> split_list(const std::string& value,
@@ -338,8 +337,6 @@ int cmd_bench(int argc, const char* const* argv) {
   cli.add_flag("graph", "gnp", "comma list of graph families");
   cli.add_flag("n", "1000", "comma list of approximate node counts");
   cli.add_flag("seeds", "1", "comma list of seeds (graph + run seed)");
-  cli.add_flag("delivery", "auto",
-               "comma list of delivery modes: push | pull | auto");
   cli.add_flag("threads", "1",
                "comma list of worker counts (0 = one per hardware thread)");
   cli.add_flag("repeats", "3", "timed repetitions per cell (median reported)");
@@ -370,10 +367,6 @@ int cmd_bench(int argc, const char* const* argv) {
   spec.seeds.clear();
   for (const std::string& item : split_list(cli.get_string("seeds"), "seeds"))
     spec.seeds.push_back(parse_uint(item, "seeds"));
-  spec.deliveries.clear();
-  for (const std::string& item :
-       split_list(cli.get_string("delivery"), "delivery"))
-    spec.deliveries.push_back(sim::parse_delivery_mode(item));
   spec.threads.clear();
   for (const std::string& item :
        split_list(cli.get_string("threads"), "threads"))
@@ -405,15 +398,14 @@ int cmd_bench(int argc, const char* const* argv) {
                    cli.get_string("out").c_str());
     return 0;
   }
-  common::text_table table({"alg", "graph", "n", "seed", "delivery",
-                            "threads", "drop", "faults", "median ms",
-                            "rounds", "dropped", "digest"});
+  common::text_table table({"alg", "graph", "n", "seed", "threads", "drop",
+                            "faults", "median ms", "rounds", "dropped",
+                            "digest"});
   for (const api::bench_cell& cell : doc.cells) {
     const api::run_record& r = cell.record;
     table.add_row(
         {r.alg, r.graph_family, common::fmt_int(static_cast<long long>(r.nodes)),
          common::fmt_int(static_cast<long long>(r.exec.seed)),
-         sim::to_string(r.exec.delivery),
          common::fmt_int(static_cast<long long>(r.exec.threads)),
          common::fmt_double(r.exec.drop_probability, 2),
          r.exec.faults ? sim::to_string(*r.exec.faults) : "none",
@@ -919,8 +911,7 @@ void print_usage() {
       "  list   enumerate registered solvers and graph families\n"
       "  run    run a solver: domset run --alg pipeline --graph gnp "
       "--n 1000 --k 3 [--json]\n"
-      "  bench  sweep solvers x graphs x seeds x delivery x threads x drop "
-      "x faults:\n"
+      "  bench  sweep solvers x graphs x seeds x threads x drop x faults:\n"
       "         domset bench --alg pipeline,greedy --graph gnp,star "
       "--n 5000 --repeats 3 --out bench.json\n"
       "  replay stream mutations through the incremental engine: domset "
