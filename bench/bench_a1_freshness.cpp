@@ -16,7 +16,6 @@
 #include "bench_common.hpp"
 #include "common/table.hpp"
 #include "core/alg2.hpp"
-#include "core/alg2_fresh.hpp"
 
 namespace {
 
@@ -28,8 +27,8 @@ struct slack_result {
   double worst_slack = 0.0;
 };
 
-template <typename RunFn>
-slack_result measure(const graph::graph& g, std::uint32_t k, RunFn&& run) {
+slack_result measure(const graph::graph& g, std::uint32_t k,
+                     const core::alg2_variant& variant) {
   const std::size_t n = g.node_count();
   const double dp1 = static_cast<double>(g.max_degree()) + 1.0;
   std::vector<double> z(n, 0.0);
@@ -56,7 +55,8 @@ slack_result measure(const graph::graph& g, std::uint32_t k, RunFn&& run) {
         out.worst_slack = std::max(out.worst_slack, z[v] / bound);
     }
   };
-  const auto res = run(g, core::lp_approx_params{.k = k}, &obs);
+  const auto res =
+      core::approximate_lp_known_delta(g, {.k = k}, variant, &obs);
   out.objective = res.objective;
   return out;
 }
@@ -71,18 +71,8 @@ int main() {
                             "rounds (both)"});
   for (const auto& instance : bench::standard_instances()) {
     for (std::uint32_t k : {2U, 3U, 4U}) {
-      const auto literal =
-          measure(instance.g, k, [](const graph::graph& g,
-                                    const core::lp_approx_params& p,
-                                    const core::alg2_observer* o) {
-            return core::approximate_lp_known_delta(g, p, o);
-          });
-      const auto fresh =
-          measure(instance.g, k, [](const graph::graph& g,
-                                    const core::lp_approx_params& p,
-                                    const core::alg2_observer* o) {
-            return core::approximate_lp_known_delta_fresh(g, p, o);
-          });
+      const auto literal = measure(instance.g, k, {});
+      const auto fresh = measure(instance.g, k, {.fresh_degrees = true});
       table.add_row({instance.name, common::fmt_int(k),
                      common::fmt_double(literal.objective, 2),
                      common::fmt_double(fresh.objective, 2),

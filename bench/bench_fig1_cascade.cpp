@@ -47,7 +47,7 @@ void run_cascade(const bench::named_graph& instance, std::uint32_t k) {
                                           static_cast<double>(g.node_count()),
                                       1)});
   };
-  (void)core::approximate_lp_known_delta(g, {.k = k}, &obs);
+  (void)core::approximate_lp_known_delta(g, {.k = k}, {}, &obs);
 
   bench::print_table(
       "Figure 1 cascade: " + instance.name + " (" + g.summary() +

@@ -6,7 +6,7 @@
 #include "bench_common.hpp"
 #include "baselines/greedy.hpp"
 #include "common/table.hpp"
-#include "core/weighted.hpp"
+#include "core/alg2.hpp"
 #include "graph/generators.hpp"
 #include "lp/lp_mds.hpp"
 #include "verify/verify.hpp"
@@ -26,8 +26,8 @@ int main() {
       if (!wlp.has_value()) return 1;
       const auto wgreedy = baselines::greedy_weighted_mds(instance.g, costs);
       for (std::uint32_t k : {2U, 4U}) {
-        const auto res =
-            core::approximate_weighted_lp(instance.g, costs, {.k = k});
+        const auto res = core::approximate_lp_known_delta(
+            instance.g, {.k = k}, {.cost = costs});
         const double ratio =
             wlp->value > 0 ? res.objective / wlp->value : 1.0;
         table.add_row(

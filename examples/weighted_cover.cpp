@@ -16,7 +16,7 @@
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "core/rounding.hpp"
-#include "core/weighted.hpp"
+#include "core/alg2.hpp"
 #include "exec/context.hpp"
 #include "graph/generators.hpp"
 #include "verify/verify.hpp"
@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
   core::lp_approx_params lp_params;
   lp_params.k = static_cast<std::uint32_t>(cli.get_int("k"));
   lp_params.exec = exec;
-  const auto frac = core::approximate_weighted_lp(g, costs, lp_params);
+  const auto frac =
+      core::approximate_lp_known_delta(g, lp_params, {.cost = costs});
   core::rounding_params r_params;
   r_params.exec = exec;
   const auto weighted_ds = core::round_to_dominating_set(g, frac.x, r_params);

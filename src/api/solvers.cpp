@@ -24,13 +24,11 @@
 #include "baselines/wu_li.hpp"
 #include "common/rng.hpp"
 #include "core/alg2.hpp"
-#include "core/alg2_fresh.hpp"
 #include "core/alg3.hpp"
 #include "core/arboricity.hpp"
 #include "core/cds.hpp"
 #include "core/pipeline.hpp"
 #include "core/rounding.hpp"
-#include "core/weighted.hpp"
 #include "graph/generators.hpp"
 #include "graph/probe.hpp"
 
@@ -120,18 +118,8 @@ class pipeline_solver final : public solver {
 
 // ------------------------------------------------- fractional LP solvers
 
-/// Shared shape of the three fractional LP adapters (alg2, alg2_fresh,
-/// alg3): params are {k}, the result is the fractional record.
-template <core::lp_approx_result (*Run)(const graph::graph&,
-                                        const core::lp_approx_params&,
-                                        const core::alg2_observer*)>
-solve_result run_lp(const graph::graph& g, const exec::context& exec,
-                    const param_map& params) {
-  core::lp_approx_params p;
-  p.k = get_k(params);
-  p.exec = exec;
-  core::lp_approx_result res = Run(g, p, nullptr);
-
+/// Copies a fractional LP record into the registry's result shape.
+solve_result fractional_result(core::lp_approx_result res) {
   solve_result out;
   out.x = std::move(res.x);
   out.objective = res.objective;
@@ -139,126 +127,6 @@ solve_result run_lp(const graph::graph& g, const exec::context& exec,
   out.metrics = res.metrics;
   return out;
 }
-
-class alg2_solver final : public solver {
- public:
-  std::string_view name() const noexcept override { return "alg2"; }
-  std::string_view description() const noexcept override {
-    return "Theorem 4: fractional LP k*(Delta+1)^(2/k)-approximation in "
-           "2k^2 rounds (every node knows the global Delta)";
-  }
-  std::span<const std::string_view> param_keys() const noexcept override {
-    static constexpr std::array<std::string_view, 1> keys = {"k"};
-    return keys;
-  }
-  bool integral_output() const noexcept override { return false; }
-
- protected:
-  solve_result solve_impl(const graph::graph& g, const exec::context& exec,
-                          const param_map& params) const override {
-    return run_lp<&core::approximate_lp_known_delta>(g, exec, params);
-  }
-};
-
-class alg2_fresh_solver final : public solver {
- public:
-  std::string_view name() const noexcept override { return "alg2_fresh"; }
-  std::string_view description() const noexcept override {
-    return "Algorithm 2 ablation with fresh dynamic degrees: same rounds, "
-           "exact Lemma 4 accounting (reproduction finding)";
-  }
-  std::span<const std::string_view> param_keys() const noexcept override {
-    static constexpr std::array<std::string_view, 1> keys = {"k"};
-    return keys;
-  }
-  bool integral_output() const noexcept override { return false; }
-
- protected:
-  solve_result solve_impl(const graph::graph& g, const exec::context& exec,
-                          const param_map& params) const override {
-    return run_lp<&core::approximate_lp_known_delta_fresh>(g, exec, params);
-  }
-};
-
-/// approximate_lp's observer type differs in name only; wrap to match the
-/// template's function-pointer shape.
-core::lp_approx_result run_alg3(const graph::graph& g,
-                                const core::lp_approx_params& p,
-                                const core::alg2_observer*) {
-  return core::approximate_lp(g, p, nullptr);
-}
-
-class alg3_solver final : public solver {
- public:
-  std::string_view name() const noexcept override { return "alg3"; }
-  std::string_view description() const noexcept override {
-    return "Theorem 5: uniform fractional LP approximation, no global "
-           "knowledge, 4k^2 + O(k) rounds";
-  }
-  std::span<const std::string_view> param_keys() const noexcept override {
-    static constexpr std::array<std::string_view, 1> keys = {"k"};
-    return keys;
-  }
-  bool integral_output() const noexcept override { return false; }
-
- protected:
-  solve_result solve_impl(const graph::graph& g, const exec::context& exec,
-                          const param_map& params) const override {
-    return run_lp<&run_alg3>(g, exec, params);
-  }
-};
-
-// ------------------------------------------------------------- rounding
-
-class rounding_solver final : public solver {
- public:
-  std::string_view name() const noexcept override { return "rounding"; }
-  std::string_view description() const noexcept override {
-    return "Theorem 3: randomized rounding of the uniform feasible LP "
-           "point x = 1/(min_degree+1) (standalone Algorithm 1 demo)";
-  }
-  std::span<const std::string_view> param_keys() const noexcept override {
-    static constexpr std::array<std::string_view, 2> keys = {"variant",
-                                                             "announce-final"};
-    return keys;
-  }
-
-  /// The trivially feasible uniform point the standalone solver rounds:
-  /// for every node v, sum over N[v] of 1/(d_min+1) = (deg(v)+1)/(d_min+1)
-  /// >= 1.  (Algorithm 1 accepts any feasible x; callers with a better
-  /// fractional solution use core::round_to_dominating_set directly or
-  /// the pipeline solver.)
-  [[nodiscard]] static std::vector<double> uniform_feasible_x(
-      const graph::graph& g) {
-    std::uint32_t d_min = ~std::uint32_t{0};
-    for (graph::node_id v = 0; v < g.node_count(); ++v)
-      d_min = std::min(d_min, g.degree(v));
-    if (g.node_count() == 0) d_min = 0;
-    return std::vector<double>(g.node_count(),
-                               1.0 / (static_cast<double>(d_min) + 1.0));
-  }
-
- protected:
-  solve_result solve_impl(const graph::graph& g, const exec::context& exec,
-                          const param_map& params) const override {
-    core::rounding_params p;
-    p.variant = get_variant(params);
-    p.announce_final = params.get_bool("announce-final", false);
-    p.exec = exec;
-    const std::vector<double> x = uniform_feasible_x(g);
-    core::rounding_result res = core::round_to_dominating_set(g, x, p);
-
-    solve_result out;
-    out.in_set = std::move(res.in_set);
-    out.x = x;
-    out.size = res.size;
-    out.objective = static_cast<double>(res.size);
-    out.metrics = res.metrics;
-    return out;
-  }
-};
-
-// ------------------------------------------------------------- weighted
 
 /// Builds the cost vector named by the `costs` param:
 ///   uniform       -- i.i.d. uniform in [1, cmax], drawn from rng(seed)
@@ -322,17 +190,45 @@ std::vector<double> make_cost_vector(const graph::graph& g,
       spec + "'");
 }
 
-class weighted_solver final : public solver {
+constexpr std::array<std::string_view, 1> k_keys = {"k"};
+constexpr std::array<std::string_view, 3> weighted_keys = {"k", "costs",
+                                                           "cmax"};
+
+/// One registry name of the Algorithm 2 kernel (core/alg2.hpp).
+struct alg2_preset {
+  std::string_view name;
+  std::string_view description;
+  std::span<const std::string_view> param_keys;
+  /// Node costs come from the `costs` param (the Remark's weighted LP).
+  bool weighted;
+  bool fresh_degrees;
+};
+
+constexpr std::array<alg2_preset, 3> alg2_presets = {{
+    {"alg2",
+     "Theorem 4: fractional LP k*(Delta+1)^(2/k)-approximation in "
+     "2k^2 rounds (every node knows the global Delta)",
+     k_keys, false, false},
+    {"alg2_fresh",
+     "Algorithm 2 ablation with fresh dynamic degrees: same rounds, "
+     "exact Lemma 4 accounting (reproduction finding)",
+     k_keys, false, true},
+    {"weighted",
+     "Remark after Theorem 4: weighted fractional LP (min c^T x) via "
+     "cost-effectiveness thresholds; costs from --costs",
+     weighted_keys, true, false},
+}};
+
+class alg2_solver final : public solver {
  public:
-  std::string_view name() const noexcept override { return "weighted"; }
+  explicit alg2_solver(const alg2_preset& preset) : preset_(preset) {}
+
+  std::string_view name() const noexcept override { return preset_.name; }
   std::string_view description() const noexcept override {
-    return "Remark after Theorem 4: weighted fractional LP (min c^T x) via "
-           "cost-effectiveness thresholds; costs from --costs";
+    return preset_.description;
   }
   std::span<const std::string_view> param_keys() const noexcept override {
-    static constexpr std::array<std::string_view, 3> keys = {"k", "costs",
-                                                             "cmax"};
-    return keys;
+    return preset_.param_keys;
   }
   bool integral_output() const noexcept override { return false; }
 
@@ -342,13 +238,84 @@ class weighted_solver final : public solver {
     core::lp_approx_params p;
     p.k = get_k(params);
     p.exec = exec;
-    const std::vector<double> cost = make_cost_vector(g, params, exec.seed);
-    core::weighted_lp_result res = core::approximate_weighted_lp(g, cost, p);
+    const std::vector<double> cost =
+        preset_.weighted ? make_cost_vector(g, params, exec.seed)
+                         : std::vector<double>{};
+    return fractional_result(core::approximate_lp_known_delta(
+        g, p, {.cost = cost, .fresh_degrees = preset_.fresh_degrees}));
+  }
+
+ private:
+  const alg2_preset& preset_;
+};
+
+class alg3_solver final : public solver {
+ public:
+  std::string_view name() const noexcept override { return "alg3"; }
+  std::string_view description() const noexcept override {
+    return "Theorem 5: uniform fractional LP approximation, no global "
+           "knowledge, 4k^2 + O(k) rounds";
+  }
+  std::span<const std::string_view> param_keys() const noexcept override {
+    return k_keys;
+  }
+  bool integral_output() const noexcept override { return false; }
+
+ protected:
+  solve_result solve_impl(const graph::graph& g, const exec::context& exec,
+                          const param_map& params) const override {
+    core::lp_approx_params p;
+    p.k = get_k(params);
+    p.exec = exec;
+    return fractional_result(core::approximate_lp(g, p));
+  }
+};
+
+// ------------------------------------------------------------- rounding
+
+class rounding_solver final : public solver {
+ public:
+  std::string_view name() const noexcept override { return "rounding"; }
+  std::string_view description() const noexcept override {
+    return "Theorem 3: randomized rounding of the uniform feasible LP "
+           "point x = 1/(min_degree+1) (standalone Algorithm 1 demo)";
+  }
+  std::span<const std::string_view> param_keys() const noexcept override {
+    static constexpr std::array<std::string_view, 2> keys = {"variant",
+                                                             "announce-final"};
+    return keys;
+  }
+
+  /// The trivially feasible uniform point the standalone solver rounds:
+  /// for every node v, sum over N[v] of 1/(d_min+1) = (deg(v)+1)/(d_min+1)
+  /// >= 1.  (Algorithm 1 accepts any feasible x; callers with a better
+  /// fractional solution use core::round_to_dominating_set directly or
+  /// the pipeline solver.)
+  [[nodiscard]] static std::vector<double> uniform_feasible_x(
+      const graph::graph& g) {
+    std::uint32_t d_min = ~std::uint32_t{0};
+    for (graph::node_id v = 0; v < g.node_count(); ++v)
+      d_min = std::min(d_min, g.degree(v));
+    if (g.node_count() == 0) d_min = 0;
+    return std::vector<double>(g.node_count(),
+                               1.0 / (static_cast<double>(d_min) + 1.0));
+  }
+
+ protected:
+  solve_result solve_impl(const graph::graph& g, const exec::context& exec,
+                          const param_map& params) const override {
+    core::rounding_params p;
+    p.variant = get_variant(params);
+    p.announce_final = params.get_bool("announce-final", false);
+    p.exec = exec;
+    const std::vector<double> x = uniform_feasible_x(g);
+    core::rounding_result res = core::round_to_dominating_set(g, x, p);
 
     solve_result out;
-    out.x = std::move(res.x);
-    out.objective = res.objective;
-    out.ratio_bound = res.ratio_bound;
+    out.in_set = std::move(res.in_set);
+    out.x = x;
+    out.size = res.size;
+    out.objective = static_cast<double>(res.size);
     out.metrics = res.metrics;
     return out;
   }
@@ -619,13 +586,18 @@ std::unique_ptr<solver> make_solver() {
   return std::make_unique<Solver>();
 }
 
+template <std::size_t Preset>
+std::unique_ptr<solver> make_alg2_solver() {
+  return std::make_unique<alg2_solver>(alg2_presets[Preset]);
+}
+
 const solver_registrar reg_pipeline{&make_solver<pipeline_solver>};
 const solver_registrar reg_arboricity{&make_solver<arboricity_solver>};
 const solver_registrar reg_auto{&make_solver<auto_solver>};
-const solver_registrar reg_weighted{&make_solver<weighted_solver>};
 const solver_registrar reg_cds{&make_solver<cds_solver>};
-const solver_registrar reg_alg2{&make_solver<alg2_solver>};
-const solver_registrar reg_alg2_fresh{&make_solver<alg2_fresh_solver>};
+const solver_registrar reg_alg2{&make_alg2_solver<0>};
+const solver_registrar reg_alg2_fresh{&make_alg2_solver<1>};
+const solver_registrar reg_weighted{&make_alg2_solver<2>};
 const solver_registrar reg_alg3{&make_solver<alg3_solver>};
 const solver_registrar reg_rounding{&make_solver<rounding_solver>};
 const solver_registrar reg_lrg{&make_solver<lrg_solver>};

@@ -25,7 +25,7 @@ struct lp_approx_result {
   /// The fractional dominating set solution (one value per node).
   std::vector<double> x;
 
-  /// Objective sum(x).
+  /// Objective sum(x), or c^T x for weighted Algorithm 2.
   double objective = 0.0;
 
   /// Maximum degree Delta of the input graph (known a priori to Algorithm
@@ -35,11 +35,15 @@ struct lp_approx_result {
   /// The k the run used.
   std::uint32_t k = 0;
 
+  /// The largest node cost c_max (1 for unit costs).
+  double c_max = 1.0;
+
   /// Simulator metrics (rounds, messages, bits).
   sim::run_metrics metrics;
 
   /// The paper's approximation-ratio guarantee for this run:
   /// k*(Delta+1)^{2/k} for Algorithm 2,
+  /// k*(Delta+1)^{1/k}*[c_max*(Delta+1)]^{1/k} for weighted Algorithm 2,
   /// k*((Delta+1)^{1/k} + (Delta+1)^{2/k}) for Algorithm 3.
   double ratio_bound = 0.0;
 };

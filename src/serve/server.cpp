@@ -25,14 +25,19 @@ std::string hex64(std::uint64_t value) {
   return buf;
 }
 
-void write_all(int fd, std::string_view text) {
+/// Sends all of `text`, retrying signal interruptions; false when the
+/// send failed, so the caller ends the connection instead of serving a
+/// stream that lost part of a reply.
+bool write_all(int fd, std::string_view text) {
   // MSG_NOSIGNAL: a client that hung up mid-reply must not SIGPIPE the
-  // whole server; the connection loop exits on the failed send.
+  // whole server.
   while (!text.empty()) {
     const ssize_t n = ::send(fd, text.data(), text.size(), MSG_NOSIGNAL);
-    if (n <= 0) return;
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
     text.remove_prefix(static_cast<std::size_t>(n));
   }
+  return true;
 }
 
 }  // namespace
@@ -231,20 +236,21 @@ void server::connection_loop(int fd) {
   char chunk[4096];
   std::size_t line_no = 0;
   bool want_shutdown = false;
-  for (;;) {
+  bool connected = true;
+  while (connected && !want_shutdown) {
     const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
+    while (connected && !want_shutdown &&
+           (pos = buffer.find('\n')) != std::string::npos) {
       const std::string line = buffer.substr(0, pos);
       buffer.erase(0, pos + 1);
       std::string response = handle_line(line, ++line_no, &want_shutdown);
       response += '\n';
-      write_all(fd, response);
-      if (want_shutdown) break;
+      connected = write_all(fd, response);
     }
-    if (want_shutdown) break;
   }
   {
     // Mark closed before close(): request_stop must never shutdown() a

@@ -24,12 +24,10 @@
 #include "baselines/luby_mis.hpp"
 #include "baselines/wu_li.hpp"
 #include "core/alg2.hpp"
-#include "core/alg2_fresh.hpp"
 #include "core/alg3.hpp"
 #include "core/cds.hpp"
 #include "core/pipeline.hpp"
 #include "core/rounding.hpp"
-#include "core/weighted.hpp"
 #include "graph/generators.hpp"
 #include "verify/verify.hpp"
 
@@ -153,7 +151,7 @@ TEST(ApiRegistry, EverySolverProducesValidOutputOnFixedGnp) {
   }
 }
 
-TEST(ApiRegistry, PipelineAdapterIsBitIdenticalAcrossModesAndThreads) {
+TEST(ApiRegistry, PipelineAdapterIsBitIdenticalAcrossThreads) {
   const graph::graph g = fixed_instance();
   const api::solver& solver = api::solver_registry::instance().find("pipeline");
   api::param_map params;
@@ -212,7 +210,8 @@ TEST(ApiRegistry, FractionalAdaptersAreBitIdentical) {
     expect_metrics_equal(actual.metrics, expected.metrics);
   }
   {
-    const auto expected = core::approximate_lp_known_delta_fresh(g, direct);
+    const auto expected = core::approximate_lp_known_delta(
+        g, direct, {.fresh_degrees = true});
     const auto actual = api::solver_registry::instance()
                             .find("alg2_fresh")
                             .solve(g, exec, params);
@@ -226,6 +225,146 @@ TEST(ApiRegistry, FractionalAdaptersAreBitIdentical) {
     expect_x_identical(actual.x, expected.x);
     EXPECT_DOUBLE_EQ(actual.ratio_bound, expected.ratio_bound);
     expect_metrics_equal(actual.metrics, expected.metrics);
+  }
+}
+
+// Golden outputs of the Algorithm-2 family through the registry, recorded
+// before the three programs became one kernel: n=2000, seed 1, 1 thread.
+// objective and ratio_bound are exact hexfloats, so a refactor that
+// reorders one floating-point operation fails here.
+struct alg2_golden_row {
+  const char* solver;
+  const char* costs;  // weighted only: "uniform" or "degree"
+  const char* family;
+  std::uint32_t k;
+  std::uint64_t digest;
+  std::size_t rounds;
+  std::uint64_t messages_sent;
+  std::uint64_t bits_sent;
+  double objective;
+  double ratio_bound;
+};
+
+constexpr alg2_golden_row kAlg2Golden[] = {
+    {"alg2", "", "ba", 1, 0xab221e05ad86466eULL, 2, 23976, 23976, 0x1.f4p+10, 0x1.5ae4p+14},
+    {"alg2", "", "ba", 2, 0x5074b8c2422a4290ULL, 8, 95904, 143856, 0x1.29cb28423bf94p+10, 0x1.2ap+8},
+    {"alg2", "", "ba", 3, 0x11e8663eb84e2a06ULL, 18, 215784, 323676, 0x1.0687e61607de4p+10, 0x1.514400a4c8232p+6},
+    {"alg2", "", "ba", 4, 0xf25c3c7a51afb745ULL, 32, 383616, 767232, 0x1.47b2502c3d766p+9, 0x1.869c1a85cc346p+5},
+    {"alg2", "", "gnp", 1, 0xab221e05ad86466eULL, 2, 32260, 32260, 0x1.f4p+10, 0x1.9p+8},
+    {"alg2", "", "gnp", 2, 0x2aed87ccdad52276ULL, 8, 129040, 193560, 0x1.e669c22a093d1p+10, 0x1.4p+5},
+    {"alg2", "", "gnp", 3, 0x2bc39ccde2b4328aULL, 18, 290340, 435510, 0x1.3cfd187a7c07dp+9, 0x1.61aac213890e3p+4},
+    {"alg2", "", "gnp", 4, 0xddad45e63a733641ULL, 32, 516160, 1032320, 0x1.257edd2dd9d4p+9, 0x1.1e3779b97f4a8p+4},
+    {"alg2", "", "grid", 1, 0x2761e14380bf6a6eULL, 2, 15136, 15136, 0x1.e4p+10, 0x1.9p+4},
+    {"alg2", "", "grid", 2, 0x2761e14380bf6a6eULL, 8, 60544, 90816, 0x1.e4p+10, 0x1.4p+3},
+    {"alg2", "", "grid", 3, 0x4efbbeddce070d6eULL, 18, 136224, 204336, 0x1.1b0b7faf33733p+10, 0x1.18b4a8f1749f5p+3},
+    {"alg2", "", "grid", 4, 0x40a0e1a02e5f672eULL, 32, 242176, 484352, 0x1.b0e71b4ef6f31p+9, 0x1.1e3779b97f4a8p+3},
+    {"alg2", "", "star", 1, 0xab221e05ad86466eULL, 2, 7996, 7996, 0x1.f4p+10, 0x1.e848p+21},
+    {"alg2", "", "star", 2, 0xcd070d68efbdb0a1ULL, 8, 31984, 47976, 0x1.6d978cb83c525p+5, 0x1.f4p+11},
+    {"alg2", "", "star", 3, 0x48a65fef2ae3d2efULL, 18, 71964, 107946, 0x1p+0, 0x1.dc38669a3fd2dp+8},
+    {"alg2", "", "star", 4, 0x48a65fef2ae3d2efULL, 32, 127936, 255872, 0x1p+0, 0x1.65c55827df1d2p+7},
+    {"alg2_fresh", "", "ba", 1, 0xab221e05ad86466eULL, 2, 23976, 23976, 0x1.f4p+10, 0x1.5ae4p+14},
+    {"alg2_fresh", "", "ba", 2, 0x1fadb846e2083ba8ULL, 8, 95904, 143856, 0x1.2c4fbab050fc3p+10, 0x1.2ap+8},
+    {"alg2_fresh", "", "ba", 3, 0x42b8345524650ed7ULL, 18, 215784, 323676, 0x1.af31e4884a841p+9, 0x1.514400a4c8232p+6},
+    {"alg2_fresh", "", "ba", 4, 0x04f472bc2a87ad9dULL, 32, 383616, 767232, 0x1.6f50113d96a41p+8, 0x1.869c1a85cc346p+5},
+    {"alg2_fresh", "", "gnp", 1, 0xab221e05ad86466eULL, 2, 32260, 32260, 0x1.f4p+10, 0x1.9p+8},
+    {"alg2_fresh", "", "gnp", 2, 0xf09bfe7b27b48460ULL, 8, 129040, 193560, 0x1.3f7dc9a71f4b1p+9, 0x1.4p+5},
+    {"alg2_fresh", "", "gnp", 3, 0xa084e076d083d5fbULL, 18, 290340, 435510, 0x1.bcbdd748c9014p+8, 0x1.61aac213890e3p+4},
+    {"alg2_fresh", "", "gnp", 4, 0xf37a1d8130fb841eULL, 32, 516160, 1032320, 0x1.91047b2c073c9p+8, 0x1.1e3779b97f4a8p+4},
+    {"alg2_fresh", "", "grid", 1, 0x2761e14380bf6a6eULL, 2, 15136, 15136, 0x1.e4p+10, 0x1.9p+4},
+    {"alg2_fresh", "", "grid", 2, 0x40a0e1a02e5f672eULL, 8, 60544, 90816, 0x1.b0e71b4ef6f31p+9, 0x1.4p+3},
+    {"alg2_fresh", "", "grid", 3, 0xf3af54e05820b12eULL, 18, 136224, 204336, 0x1.4b0d24d53de8bp+9, 0x1.18b4a8f1749f5p+3},
+    {"alg2_fresh", "", "grid", 4, 0x3d3419a6d40eae16ULL, 32, 242176, 484352, 0x1.22636d55eea01p+9, 0x1.1e3779b97f4a8p+3},
+    {"alg2_fresh", "", "star", 1, 0xab221e05ad86466eULL, 2, 7996, 7996, 0x1.f4p+10, 0x1.e848p+21},
+    {"alg2_fresh", "", "star", 2, 0x48a65fef2ae3d2efULL, 8, 31984, 47976, 0x1p+0, 0x1.f4p+11},
+    {"alg2_fresh", "", "star", 3, 0x48a65fef2ae3d2efULL, 18, 71964, 107946, 0x1p+0, 0x1.dc38669a3fd2dp+8},
+    {"alg2_fresh", "", "star", 4, 0x48a65fef2ae3d2efULL, 32, 127936, 255872, 0x1p+0, 0x1.65c55827df1d2p+7},
+    {"weighted", "uniform", "ba", 1, 0xab221e05ad86466eULL, 2, 23976, 23976, 0x1.399d89a71215fp+12, 0x1.5acead7b1f73ep+16},
+    {"weighted", "uniform", "ba", 2, 0xe00a4ba82817347eULL, 8, 95904, 143856, 0x1.75f32da348ff6p+11, 0x1.29f6d742ad621p+9},
+    {"weighted", "uniform", "ba", 3, 0xf82c1e8d92e48152ULL, 18, 215784, 323676, 0x1.885e00a3d6b8cp+10, 0x1.0baa9ecc8ffd3p+7},
+    {"weighted", "uniform", "ba", 4, 0x014895798aa76442ULL, 32, 383616, 767232, 0x1.5d4881bd81b3fp+10, 0x1.142fada037181p+6},
+    {"weighted", "uniform", "gnp", 1, 0xab221e05ad86466eULL, 2, 32260, 32260, 0x1.399d89a71215fp+12, 0x1.8fe769c66adc6p+10},
+    {"weighted", "uniform", "gnp", 2, 0x035542ef40c228bfULL, 8, 129040, 193560, 0x1.02063b76eabaep+12, 0x1.3ff62a28ac704p+6},
+    {"weighted", "uniform", "gnp", 3, 0xfc7b309cbb57c662ULL, 18, 290340, 435510, 0x1.e7d14c9d1d6p+10, 0x1.18aee878a73e7p+5},
+    {"weighted", "uniform", "gnp", 4, 0xee9b9266102943adULL, 32, 516160, 1032320, 0x1.36e5f59a73d8dp+10, 0x1.94bf4b353d418p+4},
+    {"weighted", "uniform", "grid", 1, 0x2761e14380bf6a6eULL, 2, 15136, 15136, 0x1.2f0cc543427abp+12, 0x1.8fe769c66adc6p+6},
+    {"weighted", "uniform", "grid", 2, 0x3edd21eacabff29fULL, 8, 60544, 90816, 0x1.2a9bf3f522302p+12, 0x1.3ff62a28ac704p+4},
+    {"weighted", "uniform", "grid", 3, 0x4ac4c7662af23f37ULL, 18, 136224, 204336, 0x1.c22a8b84da551p+10, 0x1.bd8e8e836ad2bp+3},
+    {"weighted", "uniform", "grid", 4, 0x7693e3d87ab999d6ULL, 32, 242176, 484352, 0x1.93881cd4cf822p+10, 0x1.94bf4b353d417p+3},
+    {"weighted", "uniform", "star", 1, 0xab221e05ad86466eULL, 2, 7996, 7996, 0x1.399d89a71215fp+12, 0x1.e829fc9eb5721p+23},
+    {"weighted", "uniform", "star", 2, 0xcd070d68efbdb0a1ULL, 8, 31984, 47976, 0x1.ccf7808e51c2p+6, 0x1.f3f0a1df8d6f6p+12},
+    {"weighted", "uniform", "star", 3, 0x48a65fef2ae3d2efULL, 18, 71964, 107946, 0x1.8dec072397aaap+1, 0x1.79f2310ffd26p+9},
+    {"weighted", "uniform", "star", 4, 0x48a65fef2ae3d2efULL, 32, 127936, 255872, 0x1.8dec072397aaap+1, 0x1.f9ef1e028c91dp+7},
+    {"weighted", "degree", "ba", 1, 0xab221e05ad86466eULL, 2, 23976, 23976, 0x1.b52p+13, 0x1.93cd68p+21},
+    {"weighted", "degree", "ba", 2, 0xab221e05ad86466eULL, 8, 95904, 143856, 0x1.b52p+13, 0x1.c6b1b6dfbfb4fp+11},
+    {"weighted", "degree", "ba", 3, 0xab221e05ad86466eULL, 18, 215784, 323676, 0x1.b52p+13, 0x1.beffffffffffdp+8},
+    {"weighted", "degree", "ba", 4, 0x74b02decdedf512aULL, 32, 383616, 767232, 0x1.835030f99b58dp+13, 0x1.552d4ce5955b5p+7},
+    {"weighted", "degree", "gnp", 1, 0xab221e05ad86466eULL, 2, 32260, 32260, 0x1.1b48p+14, 0x1.f4p+12},
+    {"weighted", "degree", "gnp", 2, 0xab221e05ad86466eULL, 8, 129040, 193560, 0x1.1b48p+14, 0x1.65c55827df1d2p+7},
+    {"weighted", "degree", "gnp", 3, 0x19fdfb6b4febf0acULL, 18, 290340, 435510, 0x1.ea0a7dce6b64dp+12, 0x1.dffffffffffffp+5},
+    {"weighted", "degree", "gnp", 4, 0x054e25a610c985ceULL, 32, 516160, 1032320, 0x1.09d00570ccf94p+12, 0x1.2ea327116b381p+5},
+    {"weighted", "degree", "grid", 1, 0x2761e14380bf6a6eULL, 2, 15136, 15136, 0x1.29p+13, 0x1.f4p+6},
+    {"weighted", "degree", "grid", 2, 0x2761e14380bf6a6eULL, 8, 60544, 90816, 0x1.29p+13, 0x1.65c55827df1d2p+4},
+    {"weighted", "degree", "grid", 3, 0x4efbbeddce070d6eULL, 18, 136224, 204336, 0x1.5b5f911133834p+12, 0x1.dffffffffffffp+3},
+    {"weighted", "degree", "grid", 4, 0x40a0e1a02e5f672eULL, 32, 242176, 484352, 0x1.09a516935d52bp+12, 0x1.abfe695c7a1c7p+3},
+    {"weighted", "degree", "star", 1, 0xab221e05ad86466eULL, 2, 7996, 7996, 0x1.76ep+12, 0x1.dcd65p+32},
+    {"weighted", "degree", "star", 2, 0xab221e05ad86466eULL, 8, 31984, 47976, 0x1.76ep+12, 0x1.5d62b816efe27p+17},
+    {"weighted", "degree", "star", 3, 0xab221e05ad86466eULL, 18, 71964, 107946, 0x1.76ep+12, 0x1.76ffffffffffep+12},
+    {"weighted", "degree", "star", 4, 0xab221e05ad86466eULL, 32, 127936, 255872, 0x1.76ep+12, 0x1.2b11db8b93b86p+10},
+};
+
+/// The registry params of a golden row: k, plus the cost scheme for
+/// `weighted` (costs=uniform pins cmax=4).
+api::param_map alg2_golden_params(const alg2_golden_row& row) {
+  api::param_map params;
+  params.set("k", std::to_string(row.k));
+  if (*row.costs != '\0') params.set("costs", row.costs);
+  if (std::string(row.costs) == "uniform") params.set("cmax", "4");
+  return params;
+}
+
+api::solve_result solve_alg2_golden_cell(const char* solver_name,
+                                         const char* family,
+                                         const api::param_map& params) {
+  const graph::graph g = api::make_graph(family, 2000, 1);
+  exec::context exec;
+  exec.seed = 1;
+  exec.threads = 1;
+  return api::solver_registry::instance().find(solver_name).solve(g, exec,
+                                                                  params);
+}
+
+TEST(ApiRegistry, Alg2FamilyMatchesGoldenTable) {
+  for (const alg2_golden_row& row : kAlg2Golden) {
+    SCOPED_TRACE(std::string(row.solver) + " " + row.costs + " " +
+                 row.family + " k=" + std::to_string(row.k));
+    const api::solve_result res = solve_alg2_golden_cell(
+        row.solver, row.family, alg2_golden_params(row));
+    EXPECT_EQ(api::solution_digest(res), row.digest);
+    EXPECT_EQ(res.metrics.rounds, row.rounds);
+    EXPECT_EQ(res.metrics.messages_sent, row.messages_sent);
+    EXPECT_EQ(res.metrics.bits_sent, row.bits_sent);
+    EXPECT_EQ(res.objective, row.objective);
+    EXPECT_EQ(res.ratio_bound, row.ratio_bound);
+  }
+}
+
+TEST(ApiRegistry, Alg2IsWeightedAtUnitCosts) {
+  // costs=uniform with cmax=1 draws every cost as exactly 1, so the
+  // weighted activity test must pick the same nodes as the exact one.
+  for (const char* family : {"ba", "gnp", "grid", "star"}) {
+    for (std::uint32_t k = 1; k <= 4; ++k) {
+      SCOPED_TRACE(std::string(family) + " k=" + std::to_string(k));
+      api::param_map plain;
+      plain.set("k", std::to_string(k));
+      api::param_map unit = plain;
+      unit.set("costs", "uniform");
+      unit.set("cmax", "1");
+      const api::solve_result a = solve_alg2_golden_cell("alg2", family, plain);
+      const api::solve_result w =
+          solve_alg2_golden_cell("weighted", family, unit);
+      EXPECT_EQ(api::solution_digest(a), api::solution_digest(w));
+      expect_metrics_equal(a.metrics, w.metrics);
+    }
   }
 }
 
@@ -284,7 +423,7 @@ TEST(ApiRegistry, RoundingAdapterMatchesDirectCallOnUniformPoint) {
   expect_metrics_equal(actual.metrics, expected.metrics);
 }
 
-TEST(ApiRegistry, WeightedAdapterIsBitIdenticalAcrossModesAndThreads) {
+TEST(ApiRegistry, WeightedAdapterIsBitIdenticalAcrossThreads) {
   const graph::graph g = fixed_instance();
   const api::solver& solver = api::solver_registry::instance().find("weighted");
   // costs=degree is the deterministic scheme: cost(v) = 1 + deg(v).
@@ -303,8 +442,8 @@ TEST(ApiRegistry, WeightedAdapterIsBitIdenticalAcrossModesAndThreads) {
     core::lp_approx_params direct;
     direct.k = 3;
     direct.exec = exec;
-    const core::weighted_lp_result expected =
-        core::approximate_weighted_lp(g, cost, direct);
+    const core::lp_approx_result expected =
+        core::approximate_lp_known_delta(g, direct, {.cost = cost});
 
     const api::solve_result actual = solver.solve(g, exec, params);
     expect_x_identical(actual.x, expected.x);
@@ -325,7 +464,8 @@ TEST(ApiRegistry, WeightedUniformCostsMatchTheSeededDraw) {
   core::lp_approx_params direct;
   direct.k = 2;
   direct.exec = exec;
-  const auto expected = core::approximate_weighted_lp(g, cost, direct);
+  const auto expected =
+      core::approximate_lp_known_delta(g, direct, {.cost = cost});
 
   api::param_map params;
   params.set("costs", "uniform");
@@ -396,7 +536,8 @@ TEST(ApiRegistry, WeightedFileCostsMatchDirectCall) {
   exec::context exec;
   core::lp_approx_params direct;
   direct.exec = exec;
-  const auto expected = core::approximate_weighted_lp(g, cost, direct);
+  const auto expected =
+      core::approximate_lp_known_delta(g, direct, {.cost = cost});
   api::param_map params;
   params.set("costs", "file:" + path);
   const auto actual =
@@ -405,7 +546,7 @@ TEST(ApiRegistry, WeightedFileCostsMatchDirectCall) {
   EXPECT_DOUBLE_EQ(actual.objective, expected.objective);
 }
 
-TEST(ApiRegistry, CdsAdapterIsBitIdenticalAcrossModesAndThreads) {
+TEST(ApiRegistry, CdsAdapterIsBitIdenticalAcrossThreads) {
   const graph::graph g = fixed_instance();
   const api::solver& solver = api::solver_registry::instance().find("cds");
   api::param_map params;

@@ -1,4 +1,4 @@
-#include "core/alg2_fresh.hpp"
+#include "core/alg2.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,8 @@
 
 namespace domset::core {
 namespace {
+
+constexpr alg2_variant kFresh{.fresh_degrees = true};
 
 std::vector<graph::graph> test_graphs() {
   common::rng gen(1301);
@@ -28,7 +30,7 @@ std::vector<graph::graph> test_graphs() {
 TEST(Alg2Fresh, FeasibleWithSameRoundCount) {
   for (const auto& g : test_graphs()) {
     for (std::uint32_t k : {1U, 2U, 3U, 4U}) {
-      const auto res = approximate_lp_known_delta_fresh(g, {.k = k});
+      const auto res = approximate_lp_known_delta(g, {.k = k}, kFresh);
       EXPECT_TRUE(lp::is_primal_feasible(g, res.x))
           << g.summary() << " k=" << k;
       // The reordering is free: still exactly 2k^2 rounds.
@@ -42,7 +44,7 @@ TEST(Alg2Fresh, ObjectiveWithinTheorem4Bound) {
     const auto lp_opt = lp::solve_lp_mds(g);
     ASSERT_TRUE(lp_opt.has_value());
     for (std::uint32_t k : {2U, 3U, 4U}) {
-      const auto res = approximate_lp_known_delta_fresh(g, {.k = k});
+      const auto res = approximate_lp_known_delta(g, {.k = k}, kFresh);
       EXPECT_LE(res.objective, res.ratio_bound * lp_opt->value + 1e-6)
           << g.summary() << " k=" << k;
     }
@@ -65,7 +67,7 @@ TEST(Alg2Fresh, ActivityUsesTrueDynamicDegree) {
             << " m=" << view.m;
       }
     };
-    (void)approximate_lp_known_delta_fresh(g, {.k = k}, &obs);
+    (void)approximate_lp_known_delta(g, {.k = k}, kFresh, &obs);
   }
 }
 
@@ -101,7 +103,7 @@ TEST(Alg2Fresh, Lemma4ZBoundHoldsExactlyNoSlack) {
                 << " node=" << v;
         }
       };
-      (void)approximate_lp_known_delta_fresh(g, {.k = k}, &obs);
+      (void)approximate_lp_known_delta(g, {.k = k}, kFresh, &obs);
     }
   }
 }
@@ -128,7 +130,7 @@ TEST(Alg2Fresh, Lemma2And3StillHold) {
         }
       }
     };
-    (void)approximate_lp_known_delta_fresh(g, {.k = k}, &obs);
+    (void)approximate_lp_known_delta(g, {.k = k}, kFresh, &obs);
   }
 }
 
@@ -139,7 +141,7 @@ TEST(Alg2Fresh, ComparableObjectiveToLiteralSchedule) {
   const graph::graph g = graph::gnp_random(40, 0.15, gen);
   for (std::uint32_t k : {2U, 3U, 4U}) {
     const auto stale = approximate_lp_known_delta(g, {.k = k});
-    const auto fresh = approximate_lp_known_delta_fresh(g, {.k = k});
+    const auto fresh = approximate_lp_known_delta(g, {.k = k}, kFresh);
     EXPECT_TRUE(lp::is_primal_feasible(g, fresh.x));
     // Fresh decisions can only deactivate nodes the stale schedule kept
     // active; the fresh objective should not be substantially larger.
@@ -148,10 +150,11 @@ TEST(Alg2Fresh, ComparableObjectiveToLiteralSchedule) {
 }
 
 TEST(Alg2Fresh, EmptyAndTrivialInputs) {
-  const auto empty = approximate_lp_known_delta_fresh(graph::graph{}, {.k = 2});
+  const auto empty =
+      approximate_lp_known_delta(graph::graph{}, {.k = 2}, kFresh);
   EXPECT_TRUE(empty.x.empty());
   const auto single =
-      approximate_lp_known_delta_fresh(graph::empty_graph(1), {.k = 2});
+      approximate_lp_known_delta(graph::empty_graph(1), {.k = 2}, kFresh);
   ASSERT_EQ(single.x.size(), 1U);
   EXPECT_DOUBLE_EQ(single.x[0], 1.0);
 }

@@ -90,7 +90,7 @@ TEST(Alg2, Lemma2InvariantHoldsExactly) {
               << " node=" << v << " count=" << count;
         }
       };
-      (void)approximate_lp_known_delta(g, {.k = k}, &obs);
+      (void)approximate_lp_known_delta(g, {.k = k}, {}, &obs);
     }
   }
 }
@@ -113,7 +113,7 @@ TEST(Alg2, Lemma3InvariantHoldsExactly) {
               << " m=" << view.m << " node=" << v << " a=" << actives;
         }
       };
-      (void)approximate_lp_known_delta(g, {.k = k}, &obs);
+      (void)approximate_lp_known_delta(g, {.k = k}, {}, &obs);
     }
   }
 }
@@ -152,7 +152,7 @@ TEST(Alg2, Lemma4ZBoundWithScheduleSlack) {
                 << " node=" << v;
         }
       };
-      (void)approximate_lp_known_delta(g, {.k = k}, &obs);
+      (void)approximate_lp_known_delta(g, {.k = k}, {}, &obs);
     }
   }
 }
@@ -185,7 +185,7 @@ TEST(Alg2, SumOfZEqualsSumOfXIncreases) {
     }
     prev_x = view.x;
   };
-  const auto res = approximate_lp_known_delta(g, {.k = k}, &obs);
+  const auto res = approximate_lp_known_delta(g, {.k = k}, {}, &obs);
   EXPECT_NEAR(total_z + undistributed, total_x_increase, 1e-9);
   EXPECT_NEAR(total_x_increase, res.objective, 1e-9);
 }
@@ -263,7 +263,7 @@ TEST(Alg2, ViewSequenceCoversAllIterations) {
   alg2_observer obs = [&](const alg2_iteration_view& view) {
     seen.emplace_back(view.ell, view.m);
   };
-  (void)approximate_lp_known_delta(g, {.k = k}, &obs);
+  (void)approximate_lp_known_delta(g, {.k = k}, {}, &obs);
   ASSERT_EQ(seen.size(), static_cast<std::size_t>(k) * k);
   std::size_t idx = 0;
   for (std::uint32_t ell = k; ell-- > 0;)

@@ -1,7 +1,8 @@
-#include "core/weighted.hpp"
+#include "core/alg2.hpp"
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -11,11 +12,17 @@
 namespace domset::core {
 namespace {
 
+/// The weighted form of Algorithm 2 (Remark after Theorem 4).
+lp_approx_result weighted_lp(const graph::graph& g,
+                             std::span<const double> cost, std::uint32_t k) {
+  return approximate_lp_known_delta(g, {.k = k}, {.cost = cost});
+}
+
 TEST(WeightedLp, UnitCostsMatchUnweightedBound) {
   common::rng gen(501);
   const graph::graph g = graph::gnp_random(25, 0.2, gen);
   const std::vector<double> ones(g.node_count(), 1.0);
-  const auto res = approximate_weighted_lp(g, ones, {.k = 3});
+  const auto res = weighted_lp(g, ones, 3);
   EXPECT_TRUE(lp::is_primal_feasible(g, res.x));
   // c_max = 1: bound reduces to k*(Delta+1)^{2/k}, the Theorem 4 bound.
   EXPECT_NEAR(res.ratio_bound,
@@ -30,7 +37,7 @@ TEST(WeightedLp, FeasibleAcrossFamiliesAndCosts) {
   for (const auto& g : graphs) {
     const auto costs = graph::uniform_costs(g.node_count(), 5.0, gen);
     for (std::uint32_t k : {1U, 2U, 3U}) {
-      const auto res = approximate_weighted_lp(g, costs, {.k = k});
+      const auto res = weighted_lp(g, costs, k);
       EXPECT_TRUE(lp::is_primal_feasible(g, res.x))
           << g.summary() << " k=" << k;
     }
@@ -45,7 +52,7 @@ TEST(WeightedLp, ObjectiveWithinRemarkBound) {
     const auto lp_opt = lp::solve_weighted_lp_mds(g, costs);
     ASSERT_TRUE(lp_opt.has_value());
     for (std::uint32_t k : {2U, 3U}) {
-      const auto res = approximate_weighted_lp(g, costs, {.k = k});
+      const auto res = weighted_lp(g, costs, k);
       EXPECT_LE(res.objective, res.ratio_bound * lp_opt->value + 1e-6)
           << g.summary() << " k=" << k << " trial=" << trial;
     }
@@ -56,7 +63,7 @@ TEST(WeightedLp, RoundScheduleMatchesAlg2) {
   common::rng gen(504);
   const graph::graph g = graph::grid_graph(4, 4);
   const auto costs = graph::uniform_costs(g.node_count(), 3.0, gen);
-  const auto res = approximate_weighted_lp(g, costs, {.k = 3});
+  const auto res = weighted_lp(g, costs, 3);
   EXPECT_EQ(res.metrics.rounds, 18U);  // 2k^2
 }
 
@@ -68,8 +75,8 @@ TEST(WeightedLp, ExpensiveHubGetsLessWeightThanCheapHub) {
   std::vector<double> cheap(g.node_count(), 1.0);
   std::vector<double> pricey(g.node_count(), 1.0);
   pricey[0] = 10.0;
-  const auto res_cheap = approximate_weighted_lp(g, cheap, {.k = 4});
-  const auto res_pricey = approximate_weighted_lp(g, pricey, {.k = 4});
+  const auto res_cheap = weighted_lp(g, cheap, 4);
+  const auto res_pricey = weighted_lp(g, pricey, 4);
   EXPECT_TRUE(lp::is_primal_feasible(g, res_cheap.x));
   EXPECT_TRUE(lp::is_primal_feasible(g, res_pricey.x));
   // The hub's x-value should not increase when it becomes expensive.
@@ -79,26 +86,23 @@ TEST(WeightedLp, ExpensiveHubGetsLessWeightThanCheapHub) {
 TEST(WeightedLp, CmaxIsComputedFromInput) {
   const graph::graph g = graph::path_graph(5);
   const std::vector<double> costs{1.0, 2.0, 7.5, 1.0, 3.0};
-  const auto res = approximate_weighted_lp(g, costs, {.k = 2});
+  const auto res = weighted_lp(g, costs, 2);
   EXPECT_DOUBLE_EQ(res.c_max, 7.5);
   EXPECT_NEAR(res.ratio_bound, weighted_ratio_bound(2, 2, 7.5), 1e-12);
 }
 
 TEST(WeightedLp, InputValidation) {
   const graph::graph g = graph::path_graph(3);
-  EXPECT_THROW((void)approximate_weighted_lp(
-                   g, std::vector<double>{1.0, 1.0}, {.k = 2}),
-               std::invalid_argument);
-  EXPECT_THROW((void)approximate_weighted_lp(
-                   g, std::vector<double>{1.0, 0.5, 1.0}, {.k = 2}),
-               std::invalid_argument);
-  EXPECT_THROW((void)approximate_weighted_lp(
-                   g, std::vector<double>{1.0, 1.0, 1.0}, {.k = 0}),
-               std::invalid_argument);
+  const std::vector<double> too_few{1.0, 1.0};
+  const std::vector<double> below_one{1.0, 0.5, 1.0};
+  const std::vector<double> ones{1.0, 1.0, 1.0};
+  EXPECT_THROW((void)weighted_lp(g, too_few, 2), std::invalid_argument);
+  EXPECT_THROW((void)weighted_lp(g, below_one, 2), std::invalid_argument);
+  EXPECT_THROW((void)weighted_lp(g, ones, 0), std::invalid_argument);
 }
 
 TEST(WeightedLp, EmptyGraph) {
-  const auto res = approximate_weighted_lp(graph::graph{}, {}, {.k = 2});
+  const auto res = weighted_lp(graph::graph{}, {}, 2);
   EXPECT_TRUE(res.x.empty());
   EXPECT_EQ(res.objective, 0.0);
 }

@@ -106,7 +106,7 @@ TEST(FailureInjection, LossOnlyGrowsTheRoundedSet) {
   EXPECT_GE(lossy_total + 5, clean_total);
 }
 
-TEST(FailureInjection, FaultPlanBitIdenticalAcrossDeliveryAndThreads) {
+TEST(FailureInjection, FaultPlanBitIdenticalAcrossThreads) {
   // The acceptance criterion of the fault plane: a run with every fault
   // kind scheduled at once -- crash-stop, crash-recover, a flapping link,
   // a loss burst stacked on base drop, duplication -- produces the same

@@ -7,9 +7,8 @@
 #include "baselines/luby_mis.hpp"
 #include "baselines/simple.hpp"
 #include "baselines/wu_li.hpp"
-#include "core/weighted.hpp"
+#include "core/alg2.hpp"
 #include "common/rng.hpp"
-#include "core/alg2_fresh.hpp"
 #include "core/cds.hpp"
 #include "core/pipeline.hpp"
 #include "exact/exact_mds.hpp"
@@ -95,7 +94,8 @@ TEST(Integration, FractionalObjectivesOrderConsistently) {
   ASSERT_TRUE(lp_opt.has_value());
   for (std::uint32_t k : {2U, 3U}) {
     const auto a2 = core::approximate_lp_known_delta(g, {.k = k});
-    const auto a2f = core::approximate_lp_known_delta_fresh(g, {.k = k});
+    const auto a2f = core::approximate_lp_known_delta(
+        g, {.k = k}, {.fresh_degrees = true});
     const auto a3 = core::approximate_lp(g, {.k = k});
     for (const auto* res : {&a2, &a2f, &a3}) {
       EXPECT_GE(res->objective, lp_opt->value - 1e-9);
@@ -108,7 +108,8 @@ TEST(Integration, WeightedPipelineEndToEnd) {
   common::rng gen(1604);
   const graph::graph g = graph::random_geometric(60, 0.25, gen).g;
   const auto costs = graph::uniform_costs(g.node_count(), 5.0, gen);
-  const auto frac = core::approximate_weighted_lp(g, costs, {.k = 3});
+  const auto frac =
+      core::approximate_lp_known_delta(g, {.k = 3}, {.cost = costs});
   ASSERT_TRUE(lp::is_primal_feasible(g, frac.x));
   core::rounding_params r;
   r.exec.seed = 2;

@@ -11,7 +11,6 @@
 #include "core/alg2.hpp"
 #include "core/alg3.hpp"
 #include "core/rounding.hpp"
-#include "core/weighted.hpp"
 
 namespace domset {
 namespace {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -128,11 +129,15 @@ TEST(ServeEpochStore, ConcurrentPinsNeverObserveTornOrReclaimedEpochs) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> torn{0};
   std::atomic<std::uint64_t> observations{0};
+  // Publishing starts only once every reader has pinned, so the writer
+  // cannot finish all epochs before a reader is ever scheduled.
+  std::latch all_pinned(kReaders);
 
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (std::size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
+      bool counted = false;
       while (!stop.load()) {
         const pinned_epoch pin = store.pin();
         if (!pin) continue;
@@ -143,10 +148,15 @@ TEST(ServeEpochStore, ConcurrentPinsNeverObserveTornOrReclaimedEpochs) {
             pin->solution.size() != pin->size)
           torn.fetch_add(1);
         observations.fetch_add(1);
+        if (!counted) {
+          all_pinned.count_down();
+          counted = true;
+        }
       }
     });
   }
 
+  all_pinned.wait();
   for (std::uint64_t e = 1; e <= kEpochs; ++e) {
     store.publish(make_state(e));
     if (e % 16 == 0) std::this_thread::yield();

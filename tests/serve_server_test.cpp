@@ -6,7 +6,15 @@
 // `domset replay` of the admitted stream across {1, 2, 4, 8} threads.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <time.h>
 #include <unistd.h>
+
+#include <csignal>
+#include <cstring>
+#include <filesystem>
+#include <set>
 
 #include <atomic>
 #include <chrono>
@@ -166,6 +174,101 @@ TEST(ServeServer, ConcurrentHandlersSeeConsistentPinnedEpochs) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(conflicts.load(), 0u);
   srv.request_stop();
+}
+
+void ignore_alarm(int) {}
+
+/// Thread ids of this process (Linux: one /proc/self/task entry each).
+std::set<pid_t> thread_ids() {
+  std::set<pid_t> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ids.insert(static_cast<pid_t>(std::stol(entry.path().filename())));
+  return ids;
+}
+
+TEST(ServeServer, PingsSurviveSignalInterruptedReads) {
+  // A SIGALRM interval timer aimed at the connection thread, with a
+  // handler installed without SA_RESTART, makes its blocking read fail
+  // with EINTR; the connection must retry instead of dropping the client.
+  const std::string socket_path =
+      testing::TempDir() + "domset_serve_eintr_" +
+      std::to_string(::getpid()) + ".sock";
+  struct sigaction action {};
+  action.sa_handler = ignore_alarm;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;
+  struct sigaction previous_action {};
+  ASSERT_EQ(::sigaction(SIGALRM, &action, &previous_action), 0);
+
+  server_params sp;
+  sp.socket_path = socket_path;
+  server srv(test_graph(100, 5), sp);
+  std::thread server_thread([&] { srv.run(); });
+  for (int i = 0; i < 500 && ::access(socket_path.c_str(), F_OK) != 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+
+  const std::set<pid_t> before = thread_ids();
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof addr.sun_path - 1);
+  const bool connected =
+      fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof addr) == 0;
+
+  std::string pending;
+  const auto ping = [&] {
+    if (::send(fd, "ping\n", 5, MSG_NOSIGNAL) != 5) return false;
+    std::size_t eol;
+    char chunk[256];
+    while ((eol = pending.find('\n')) == std::string::npos) {
+      const ssize_t n = ::read(fd, chunk, sizeof chunk);
+      if (n <= 0) return false;
+      pending.append(chunk, static_cast<std::size_t>(n));
+    }
+    const bool ok = serve::parse_response(pending.substr(0, eol)).ok;
+    pending.erase(0, eol + 1);
+    return ok;
+  };
+  // The first reply proves the connection thread exists: it is the one
+  // thread the connect added.
+  const bool first_reply = connected && ping();
+  std::vector<pid_t> added;
+  for (const pid_t id : thread_ids())
+    if (!before.contains(id)) added.push_back(id);
+  EXPECT_EQ(added.size(), 1u);
+
+  // No ASSERT from here on: the server thread must be joined on every
+  // path.
+  sigevent event{};
+  event.sigev_notify = SIGEV_THREAD_ID;
+  event.sigev_signo = SIGALRM;
+  event._sigev_un._tid = added.empty() ? 0 : added.front();
+  timer_t timer{};
+  const bool armed = added.size() == 1 &&
+                     ::timer_create(CLOCK_MONOTONIC, &event, &timer) == 0;
+  const itimerspec every_200us{{0, 200'000}, {0, 200'000}};
+  if (armed) ::timer_settime(timer, 0, &every_200us, nullptr);
+  EXPECT_TRUE(armed);
+
+  constexpr int kPings = 200;
+  int replies = first_reply ? 1 : 0;
+  for (int i = 1; first_reply && i < kPings; ++i) {
+    if (!ping()) break;
+    ++replies;
+    // Idle so the connection thread sits in read() when alarms land.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  if (armed) ::timer_delete(timer);
+  if (fd >= 0) ::close(fd);
+  srv.request_stop();
+  server_thread.join();
+  // The connection thread is joined, so no alarm can still be pending.
+  ::sigaction(SIGALRM, &previous_action, nullptr);
+
+  EXPECT_EQ(replies, kPings);
 }
 
 TEST(ServeServer, SocketLoadAgreesWithOfflineReplayAcrossExecKnobs) {
