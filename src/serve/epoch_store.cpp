@@ -25,7 +25,7 @@ std::size_t epoch_store::reclaim() {
 void epoch_store::publish(epoch_state state) {
   reclaim();
   // Find a free slot, round-robin from the cursor.  Every slot occupied
-  // means every past epoch is still pinned -- backpressure the writer
+  // means every past epoch is still pinned -- backpressure the commit
   // (commits stall, queries keep flowing) until one drains.
   std::size_t idx = npos;
   for (;;) {

@@ -1,9 +1,10 @@
 /// \file epoch_store.hpp
 /// \brief Lock-free reader epoch pinning over immutable epoch states.
 //
-// The serving layer's reader/writer contract: one writer thread publishes
-// a new immutable `epoch_state` per commit, many reader threads answer
-// queries from *some* recent epoch without ever taking a lock.  The store
+// The serving layer's reader/writer contract: publishes of a new
+// immutable `epoch_state` per commit are serialized by the caller (one at
+// a time, from any thread), while many reader threads answer queries
+// from *some* recent epoch without ever taking a lock.  The store
 // is a fixed wheel of slots; each slot carries a state pointer, an atomic
 // pin count and an atomic retired flag.
 //
@@ -35,10 +36,9 @@
 // which is consistent (never torn) and acceptable for "answer from a
 // recent epoch" semantics.
 //
-// Epoch states hold a materialized `graph::graph` snapshot; snapshots
-// share storage with the dynamic graph's rebase point (see
-// dyn::dynamic_graph::snapshot), so a pinned epoch stays valid while
-// the overlay rebases arbitrarily far ahead.
+// Epoch states hold no graph: the solution, its size and digest, and the
+// graph's shape (all a query reads) are copies, so a pinned epoch stays
+// valid while the overlay rebases arbitrarily far ahead.
 #pragma once
 
 #include <atomic>
@@ -47,19 +47,16 @@
 #include <memory>
 #include <vector>
 
-#include "graph/graph.hpp"
-
 namespace domset::serve {
 
 /// One published epoch: immutable after publish, shared by every reader
 /// pinned to it.
 struct epoch_state {
   std::uint64_t epoch = 0;
-  /// Materialized committed snapshot (shares storage with the overlay's
-  /// rebase point -- cheap to hold, survives later rebases).
-  graph::graph snapshot;
-  /// Dominating-set indicator over `snapshot` (verified by the writer
-  /// before publish; see serve::server).
+  std::size_t nodes = 0;  ///< committed graph shape
+  std::size_t edges = 0;
+  /// Dominating-set indicator over the committed graph (verified before
+  /// publish; see serve::server).
   std::vector<std::uint8_t> solution;
   std::size_t size = 0;      ///< popcount of `solution`
   std::uint64_t digest = 0;  ///< FNV-1a over the solution bits
@@ -104,8 +101,9 @@ class pinned_epoch {
   slot* slot_ = nullptr;
 };
 
-/// The slot wheel.  `publish`/`reclaim` are writer-thread-only;
-/// `pin` is safe from any thread and never blocks.
+/// The slot wheel.  Calls to `publish`/`reclaim` must be serialized
+/// (never two at once; any thread may make them); `pin` is safe from any
+/// thread, concurrently with them, and never blocks.
 class epoch_store {
  public:
   /// `slot_count` bounds how many epochs can be resident at once
@@ -116,7 +114,7 @@ class epoch_store {
   explicit epoch_store(std::size_t slot_count = 64);
 
   /// Publishes `state` as the new current epoch and reclaims drained
-  /// retired slots.  Writer-thread only.
+  /// retired slots.  Serialized with other publish/reclaim calls.
   void publish(epoch_state state);
 
   /// Pins the current epoch (lock-free, any thread).  Empty before the
@@ -124,13 +122,14 @@ class epoch_store {
   [[nodiscard]] pinned_epoch pin();
 
   /// Frees every retired slot whose pin count has drained.  Returns the
-  /// number of slots freed.  Writer-thread only (publish calls it; tests
-  /// call it directly to observe reclamation timing).
+  /// number of slots freed.  Serialized with other publish/reclaim
+  /// calls (publish calls it; tests call it directly to observe
+  /// reclamation timing).
   std::size_t reclaim();
 
   /// Slots currently holding a state (the current epoch plus any
   /// retired-but-undrained ones).  Inherently racy against concurrent
-  /// publishes -- call from the writer thread or quiesced.
+  /// publishes -- call serialized with them or quiesced.
   [[nodiscard]] std::size_t resident() const;
 
   [[nodiscard]] std::uint64_t published() const {
@@ -146,7 +145,7 @@ class epoch_store {
   std::unique_ptr<pinned_epoch::slot[]> slots_;
   std::size_t slot_count_;
   std::atomic<std::size_t> current_{npos};
-  std::size_t cursor_ = 0;  ///< writer's free-slot scan position
+  std::size_t cursor_ = 0;  ///< publish's free-slot scan position
   std::atomic<std::uint64_t> published_{0};
   std::atomic<std::uint64_t> reclaimed_{0};
 };

@@ -1,11 +1,11 @@
 #include "serve/server.hpp"
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -43,74 +43,47 @@ bool write_all(int fd, std::string_view text) {
 }  // namespace
 
 server::server(graph::graph base, server_params params)
-    : params_(std::move(params)),
-      engine_(std::move(base), params_.inc),
-      store_(params_.epoch_slots) {
-  publish_locked();  // epoch 0: no contention yet, the mutex is free
-  writer_ = std::thread(&server::writer_loop, this);
+    : params_(std::move(params)), engine_(std::move(base), params_.inc) {
+  // Epoch 0: no contention yet, the mutex is free.
+  publish_locked(engine_.size(), engine_.digest());
 }
 
 server::~server() {
   request_stop();
-  for (std::thread& t : conn_threads_)
-    if (t.joinable()) t.join();
-  if (writer_.joinable()) writer_.join();
+  for (connection& c : conns_)
+    if (c.thread.joinable()) c.thread.join();
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
-void server::publish_locked() {
-  epoch_state state;
-  state.epoch = engine_.epoch();
-  state.snapshot = engine_.snapshot();
-  state.solution = engine_.solution();
-  state.size = engine_.size();
-  state.digest = engine_.digest();
+void server::publish_locked(std::size_t size, std::uint64_t digest) {
+  const graph::graph snapshot = engine_.snapshot();
   // The contract behind "every query is answered from a verified epoch":
   // nothing unverified is ever published.
-  if (!verify::is_dominating_set(state.snapshot, state.solution))
+  if (!verify::is_dominating_set(snapshot, engine_.solution()))
     throw std::runtime_error(
-        "serve: epoch " + std::to_string(state.epoch) +
+        "serve: epoch " + std::to_string(engine_.epoch()) +
         " failed dominating-set verification before publish");
+  epoch_state state;
+  state.epoch = engine_.epoch();
+  state.nodes = snapshot.node_count();
+  state.edges = snapshot.edge_count();
+  state.solution = engine_.solution();
+  state.size = size;
+  state.digest = digest;
   store_.publish(std::move(state));
 }
 
 void server::commit_locked() {
-  engine_.commit_and_repair();
-  publish_locked();
-  pending_ = 0;
-  commits_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void server::writer_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    const auto ready = [this] {
-      return stop_ || commit_requested_ ||
-             (params_.batch_max > 0 && pending_ >= params_.batch_max);
-    };
-    if (params_.interval_ms > 0.0) {
-      writer_cv_.wait_for(
-          lock, std::chrono::duration<double, std::milli>(params_.interval_ms),
-          ready);
-    } else {
-      writer_cv_.wait(lock, ready);
-    }
-    // A timer wake with pending mutations also commits -- that is the
-    // interval policy; an empty pending batch never seals an epoch.
-    if (pending_ > 0) {
-      try {
-        commit_locked();
-      } catch (const std::exception& err) {
-        // A failed commit/verify is an engine-integrity bug; die loudly
-        // rather than serve unverified state.
-        std::fprintf(stderr, "domset serve: fatal: %s\n", err.what());
-        std::abort();
-      }
-    }
-    commit_requested_ = false;
-    commit_cv_.notify_all();
-    if (stop_) return;
+  try {
+    const dyn::epoch_report report = engine_.commit_and_repair();
+    publish_locked(report.size, report.digest);
+  } catch (const std::exception& err) {
+    // A failed commit/verify is an engine-integrity bug; die loudly
+    // rather than serve unverified state.
+    std::fprintf(stderr, "domset serve: fatal: %s\n", err.what());
+    std::abort();
   }
+  commits_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::string server::handle_line(std::string_view line, std::size_t line_no,
@@ -136,10 +109,7 @@ std::string server::handle_line(std::string_view line, std::size_t line_no,
       } catch (const std::invalid_argument& err) {
         failure = err.what();
       }
-      pending_ += applied;
       mutations_admitted_.fetch_add(applied, std::memory_order_relaxed);
-      if (params_.batch_max > 0 && pending_ >= params_.batch_max)
-        writer_cv_.notify_one();
       if (!failure.empty()) {
         // Honest partial admission: atoms before the bad one stay
         // pending (the batch is a stream, not a transaction).
@@ -149,22 +119,19 @@ std::string server::handle_line(std::string_view line, std::size_t line_no,
                                 failure);
       }
       return format_ok({{"admitted", std::to_string(applied)},
-                        {"pending", std::to_string(pending_)},
+                        {"pending", std::to_string(pending())},
                         {"epoch", std::to_string(engine_.epoch())}});
     }
     case request_kind::commit: {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (pending_ > 0) {
-        const std::uint64_t target = engine_.epoch() + 1;
-        commit_requested_ = true;
-        writer_cv_.notify_one();
-        commit_cv_.wait(lock, [this, target] {
-          return engine_.epoch() >= target || stop_;
-        });
+      pinned_epoch epoch;
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        if (pending() > 0) commit_locked();
+        epoch = store_.pin();  // the epoch this commit (or the last) published
       }
-      return format_ok({{"epoch", std::to_string(engine_.epoch())},
-                        {"size", std::to_string(engine_.size())},
-                        {"digest", hex64(engine_.digest())}});
+      return format_ok({{"epoch", std::to_string(epoch->epoch)},
+                        {"size", std::to_string(epoch->size)},
+                        {"digest", hex64(epoch->digest)}});
     }
     case request_kind::query_member: {
       const pinned_epoch epoch = store_.pin();
@@ -195,8 +162,8 @@ std::string server::handle_line(std::string_view line, std::size_t line_no,
       const pinned_epoch epoch = store_.pin();
       return format_ok(
           {{"epoch", std::to_string(epoch->epoch)},
-           {"nodes", std::to_string(epoch->snapshot.node_count())},
-           {"edges", std::to_string(epoch->snapshot.edge_count())},
+           {"nodes", std::to_string(epoch->nodes)},
+           {"edges", std::to_string(epoch->edges)},
            {"size", std::to_string(epoch->size)},
            {"digest", hex64(epoch->digest)}});
     }
@@ -223,44 +190,78 @@ void server::request_stop() {
     const std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  writer_cv_.notify_all();
-  commit_cv_.notify_all();
   const std::lock_guard<std::mutex> lock(conn_mu_);
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  for (const int fd : conn_fds_)
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+  for (const connection& c : conns_)
+    if (c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
 }
 
 void server::connection_loop(int fd) {
-  std::string buffer;
+  std::string buffer;       // at most one partial line between reads
+  std::size_t scanned = 0;  // buffer[0, scanned) holds no newline
   char chunk[4096];
   std::size_t line_no = 0;
   bool want_shutdown = false;
-  bool connected = true;
-  while (connected && !want_shutdown) {
+  bool open = true;
+  // Memory stays bounded by one line plus one read.
+  const auto refuse_long_line = [&] {
+    write_all(fd, format_error(++line_no,
+                               "longer than " +
+                                   std::to_string(max_request_line) +
+                                   " bytes") +
+                      '\n');
+    return false;
+  };
+  while (open && !want_shutdown) {
     const ssize_t n = ::read(fd, chunk, sizeof chunk);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos;
-    while (connected && !want_shutdown &&
-           (pos = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      std::string response = handle_line(line, ++line_no, &want_shutdown);
+    std::size_t begin = 0;
+    std::size_t eol;
+    while (open && !want_shutdown &&
+           (eol = buffer.find('\n', scanned)) != std::string::npos) {
+      if (eol - begin > max_request_line) {
+        open = refuse_long_line();
+        break;
+      }
+      std::string response =
+          handle_line(std::string_view(buffer).substr(begin, eol - begin),
+                      ++line_no, &want_shutdown);
       response += '\n';
-      connected = write_all(fd, response);
+      open = write_all(fd, response);
+      begin = scanned = eol + 1;
     }
+    // When a line ended in this read, the partial line left after it
+    // arrived in this read too: the move is never longer than the read.
+    buffer.erase(0, begin);
+    scanned = buffer.size();
+    if (open && scanned > max_request_line) open = refuse_long_line();
   }
   {
     // Mark closed before close(): request_stop must never shutdown() a
     // recycled descriptor.
     const std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int& entry : conn_fds_)
-      if (entry == fd) entry = -1;
+    for (connection& c : conns_)
+      if (c.fd == fd) c.fd = -1;
   }
   ::close(fd);
   if (want_shutdown) request_stop();
+}
+
+void server::reap_closed_connections() {
+  std::vector<std::thread> closed;
+  {
+    const std::lock_guard<std::mutex> lock(conn_mu_);
+    std::erase_if(conns_, [&closed](connection& c) {
+      if (c.fd >= 0) return false;
+      closed.push_back(std::move(c.thread));
+      return true;
+    });
+  }
+  // Joined outside the lock: a closing thread may still be inside
+  // request_stop(), which takes it.
+  for (std::thread& t : closed) t.join();
 }
 
 void server::run() {
@@ -274,11 +275,18 @@ void server::run() {
   std::memcpy(addr.sun_path, params_.socket_path.c_str(),
               params_.socket_path.size() + 1);
 
+  // Replace only what a previous server left behind.
+  struct stat existing {};
+  if (::lstat(params_.socket_path.c_str(), &existing) == 0) {
+    if (!S_ISSOCK(existing.st_mode))
+      throw std::runtime_error("serve: '" + params_.socket_path +
+                               "' exists and is not a socket");
+    ::unlink(params_.socket_path.c_str());
+  }
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0)
     throw std::runtime_error(std::string("serve: socket: ") +
                              std::strerror(errno));
-  ::unlink(params_.socket_path.c_str());
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
     const int err = errno;
     ::close(fd);
@@ -299,9 +307,8 @@ void server::run() {
     const pinned_epoch epoch = store_.pin();
     std::printf("serving socket=%s epoch=%" PRIu64 " nodes=%zu size=%zu "
                 "digest=%s\n",
-                params_.socket_path.c_str(), epoch->epoch,
-                epoch->snapshot.node_count(), epoch->size,
-                hex64(epoch->digest).c_str());
+                params_.socket_path.c_str(), epoch->epoch, epoch->nodes,
+                epoch->size, hex64(epoch->digest).c_str());
     std::fflush(stdout);
   }
 
@@ -314,21 +321,24 @@ void server::run() {
       break;
     }
     connections_.fetch_add(1, std::memory_order_relaxed);
+    reap_closed_connections();
     const std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.push_back(conn);
-    conn_threads_.emplace_back(&server::connection_loop, this, conn);
+    conns_.push_back(
+        {conn, std::thread(&server::connection_loop, this, conn)});
   }
 
-  for (std::thread& t : conn_threads_)
-    if (t.joinable()) t.join();
+  // Only this thread adds or removes entries, so the list can be walked
+  // unlocked while the exiting threads mark theirs closed.
+  for (connection& c : conns_) c.thread.join();
   {
     const std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_threads_.clear();
-    conn_fds_.clear();
+    conns_.clear();
   }
-  // The writer performs the final drain-commit on its way out (stop_ is
-  // set and its loop commits any pending batch before returning).
-  if (writer_.joinable()) writer_.join();
+  {
+    // Seal whatever the connections admitted but never committed.
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (pending() > 0) commit_locked();
+  }
   ::unlink(params_.socket_path.c_str());
 
   const pinned_epoch epoch = store_.pin();

@@ -5,38 +5,43 @@
 // Threading model (the reader/writer contract, see docs/serve.md):
 //
 //   * Queries never take a lock.  Every query pins the current epoch in
-//     the serve::epoch_store (an immutable {snapshot, solution, digest}
+//     the serve::epoch_store (an immutable {shape, solution, digest}
 //     published per commit) and answers from it -- so query latency is
-//     independent of whatever the writer is doing, including a
-//     full-re-solve fallback.
+//     independent of any commit in flight, including a full-re-solve
+//     fallback.
 //
 //   * Mutations are *admitted* under the admission mutex into the
 //     engine's pending batch (snapshot isolation hides them from the
-//     committed surface), and a single writer thread seals batches:
+//     committed surface).  A `commit` request seals the batch on its own
+//     connection thread, holding the same mutex for the whole window:
 //     commit -> incremental repair -> snapshot -> verify dominating ->
-//     publish.  The whole commit window holds the admission mutex
-//     (mutators queue behind it; that is the admission-batching policy),
-//     because dyn::dynamic_graph::snapshot() rebases the overlay --
-//     a concurrent apply() would race the rebase.
+//     publish.  Mutators and other commits queue behind it (that is the
+//     admission-batching policy), because dyn::dynamic_graph::snapshot()
+//     rebases the overlay -- a concurrent apply() would race the rebase.
+//     The same mutex is the serialization epoch_store::publish needs, so
+//     the server runs no thread beyond the accept loop and one per
+//     connection.
 //
-//   * Commit triggers: an explicit `commit` request (the deterministic
-//     path -- epoch boundaries land exactly where the client puts them,
-//     which is what makes the served digest reproducible by an offline
-//     `domset replay` of the same stream), a pending count reaching
-//     `batch_max` (0 = off), or the `interval_ms` timer (0 = off).
+//   * Commit triggers: an explicit `commit` request (epoch boundaries
+//     land exactly where the client puts them, which is what makes the
+//     served digest reproducible by an offline `domset replay` of the
+//     same stream), and the end of `run()`, which seals any pending batch
+//     the same way.
 //
-//   * Every published epoch is verified dominating against its own
-//     snapshot before readers can see it -- validity is a contract, as
-//     in `domset replay`.
+//   * Every published epoch is verified dominating against a snapshot of
+//     its graph before readers can see it -- validity is a contract, as
+//     in `domset replay`.  The snapshot serves only that check; the epoch
+//     keeps the graph's shape, not its CSR.
 //
 // The wire protocol is serve/protocol.hpp over an AF_UNIX stream
-// socket, one thread per connection.  `handle_line()` is public so
-// tests (and in-process embedding) can drive the full request surface
-// without a socket.
+// socket, one thread per connection, joined once the connection closes
+// (at the next accept).  A request line longer than `max_request_line`
+// gets an `err` reply and the connection is closed.  `handle_line()` is
+// public so tests (and in-process embedding) can drive the full request
+// surface without a socket.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -50,17 +55,14 @@
 
 namespace domset::serve {
 
+/// Longest request line a connection may send (newline excluded), far
+/// above the 8-32-atom `mutate` batches clients send.
+inline constexpr std::size_t max_request_line = std::size_t{1} << 20;
+
 struct server_params {
   /// AF_UNIX socket path (`run()` binds it; unused by in-process use).
   std::string socket_path;
   dyn::incremental_params inc;
-  /// Auto-commit once this many mutations are pending (0 = only explicit
-  /// `commit` requests seal epochs -- the reproducible configuration).
-  std::size_t batch_max = 0;
-  /// Auto-commit a non-empty pending batch after this long (0 = off).
-  double interval_ms = 0.0;
-  /// Epoch-store wheel size (resident epochs: current + pinned-retired).
-  std::size_t epoch_slots = 64;
 };
 
 struct server_stats {
@@ -74,21 +76,22 @@ struct server_stats {
 
 class server {
  public:
-  /// Solves `base` from scratch (epoch 0), publishes it, and starts the
-  /// writer thread.  Throws what dyn::incremental_engine throws.
+  /// Solves `base` from scratch (epoch 0) and publishes it.  Throws what
+  /// dyn::incremental_engine throws.
   server(graph::graph base, server_params params);
   ~server();
   server(const server&) = delete;
   server& operator=(const server&) = delete;
 
   /// Binds the socket, accepts connections, and blocks until a
-  /// `shutdown` request (or `request_stop()`).  Performs the final
-  /// drain-commit before returning.  Throws std::runtime_error on
-  /// socket errors.
+  /// `shutdown` request (or `request_stop()`).  Commits any pending batch
+  /// before returning.  A stale socket at the path is replaced; anything
+  /// else there is left alone.  Throws std::runtime_error on socket
+  /// errors and when the path exists but is not a socket.
   void run();
 
-  /// Stops `run()` from another thread: wakes the writer for the final
-  /// drain-commit and unblocks every connection.
+  /// Stops `run()` from another thread: unblocks the accept loop and
+  /// every connection.
   void request_stop();
 
   /// Processes one request line and returns the response line (no
@@ -105,35 +108,37 @@ class server {
 
   [[nodiscard]] server_stats stats() const;
 
-  /// Direct store access for tests (pin/commit stress, reclamation).
-  [[nodiscard]] epoch_store& store() { return store_; }
-
  private:
-  void writer_loop();
-  /// Seals the pending batch and publishes the new epoch.  Requires the
-  /// admission mutex held.
+  /// Seals the pending batch and publishes the new epoch; aborts the
+  /// process if the engine fails.  Requires the admission mutex held.
   void commit_locked();
-  /// Snapshot + verify + publish the engine's current state.  Requires
-  /// the admission mutex held (snapshot() rebases the overlay).
-  void publish_locked();
+  /// Snapshot + verify + publish the engine's current state, whose
+  /// solution has `size` members and digest `digest`.  Requires the
+  /// admission mutex held (snapshot() rebases the overlay).
+  void publish_locked(std::size_t size, std::uint64_t digest);
+  /// Mutations admitted since the last commit.  Requires the admission
+  /// mutex held.
+  [[nodiscard]] std::size_t pending() const {
+    return engine_.network().pending_mutations();
+  }
   void connection_loop(int fd);
+  /// Joins the threads of closed connections.
+  void reap_closed_connections();
 
   server_params params_;
   dyn::incremental_engine engine_;
   epoch_store store_;
 
   std::mutex mu_;  ///< admission: pending surface + the commit window
-  std::condition_variable writer_cv_;
-  std::condition_variable commit_cv_;
-  std::size_t pending_ = 0;
-  bool commit_requested_ = false;
   bool stop_ = false;
-  std::thread writer_;
 
   int listen_fd_ = -1;
+  struct connection {
+    int fd;  ///< -1 once the connection has closed
+    std::thread thread;
+  };
   std::mutex conn_mu_;
-  std::vector<int> conn_fds_;  ///< -1 once a connection has closed
-  std::vector<std::thread> conn_threads_;
+  std::vector<connection> conns_;
 
   std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> requests_{0};

@@ -1,5 +1,5 @@
 // The epoch store's reader/writer contract: pins never observe a torn or
-// reclaimed epoch under concurrent publishes, pinned snapshots survive
+// reclaimed epoch under concurrent publishes, pinned epochs survive
 // arbitrary overlay rebases, and retired slots are reclaimed only after
 // their pin count drains.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "dyn/dynamic_graph.hpp"
 #include "dyn/mutation.hpp"
-#include "graph/csr_file.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "serve/epoch_store.hpp"
@@ -89,35 +88,48 @@ TEST(ServeEpochStore, PublishReclaimsDrainedSlotsItself) {
 }
 
 TEST(ServeEpochStore, PinnedSnapshotSurvivesOverlayRebase) {
+  // A pinned epoch is immutable: six later commits, each rebasing the
+  // overlay, leave its shape, solution and digest as published.
   common::rng gen(11);
   dyn::dynamic_graph dg(graph::barabasi_albert(200, 3, gen));
+  const auto state_of = [&dg](std::uint64_t epoch) {
+    epoch_state state;
+    state.epoch = epoch;
+    state.nodes = dg.node_count();
+    state.edges = dg.edge_count();
+    state.solution.assign(dg.node_count(), 0);
+    state.solution[epoch] = 1;
+    state.size = 1;
+    state.digest = expected_digest(epoch);
+    return state;
+  };
 
   epoch_store store(8);
-  epoch_state first;
-  first.epoch = 0;
-  first.snapshot = dg.snapshot();
-  store.publish(std::move(first));
-
+  store.publish(state_of(0));
   const pinned_epoch pin = store.pin();
-  const std::string digest_before = graph::graph_digest_hex(pin->snapshot);
-  const std::size_t edges_before = pin->snapshot.edge_count();
+  const std::size_t nodes_before = dg.node_count();
+  const std::size_t edges_before = dg.edge_count();
+  const std::vector<std::uint8_t> solution_before = pin->solution;
 
-  // Every commit+snapshot rebases the overlay under the pinned epoch.
   for (std::uint64_t e = 1; e <= 6; ++e) {
     const auto fresh = static_cast<graph::node_id>(dg.live_node_count());
     dg.apply({dyn::mutation_kind::add_node, fresh, fresh});
     dg.apply({dyn::mutation_kind::add_edge, 0, fresh});
     (void)dg.commit();
-    epoch_state next;
-    next.epoch = e;
-    next.snapshot = dg.snapshot();
-    store.publish(std::move(next));
+    (void)dg.snapshot();  // rebases the overlay
+    store.publish(state_of(e));
   }
 
   EXPECT_EQ(pin->epoch, 0u);
-  EXPECT_EQ(pin->snapshot.edge_count(), edges_before);
-  EXPECT_EQ(graph::graph_digest_hex(pin->snapshot), digest_before);
-  EXPECT_EQ(store.pin()->snapshot.node_count(), dg.node_count());
+  EXPECT_EQ(pin->nodes, nodes_before);
+  EXPECT_EQ(pin->edges, edges_before);
+  EXPECT_EQ(pin->solution, solution_before);
+  EXPECT_EQ(pin->size, 1u);
+  EXPECT_EQ(pin->digest, expected_digest(0));
+  const pinned_epoch current = store.pin();
+  EXPECT_EQ(current->epoch, 6u);
+  EXPECT_EQ(current->nodes, nodes_before + 6);
+  EXPECT_EQ(current->edges, edges_before + 6);
 }
 
 TEST(ServeEpochStore, ConcurrentPinsNeverObserveTornOrReclaimedEpochs) {

@@ -4,9 +4,12 @@
 // concurrent clients plus a mutator observes zero epoch/digest
 // conflicts, and the served final digest is bit-identical to an offline
 // `domset replay` of the admitted stream across {1, 2, 4, 8} threads.
+// The socket itself must survive hostile or careless clients: over-long
+// lines, pipelined floods, connection churn, a path that is not a socket.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <time.h>
 #include <unistd.h>
@@ -14,12 +17,16 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <memory>
 #include <set>
+#include <sstream>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -49,6 +56,117 @@ graph::graph test_graph(std::size_t n, std::uint64_t seed) {
 response handle(server& srv, const std::string& line, std::size_t line_no) {
   bool want_shutdown = false;
   return serve::parse_response(srv.handle_line(line, line_no, &want_shutdown));
+}
+
+std::string socket_path_for(const std::string& name) {
+  return testing::TempDir() + "domset_serve_" + name + "_" +
+         std::to_string(::getpid()) + ".sock";
+}
+
+sockaddr_un address_of(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+  return addr;
+}
+
+/// A line-protocol client.  Reads time out after 10 s, so a server that
+/// never answers fails the test instead of hanging it.
+class line_client {
+ public:
+  explicit line_client(const std::string& path)
+      : fd_(::socket(AF_UNIX, SOCK_STREAM, 0)) {
+    const sockaddr_un addr = address_of(path);
+    const timeval timeout{10, 0};
+    if (fd_ >= 0 &&
+        (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr) != 0 ||
+         ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                      sizeof timeout) != 0)) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~line_client() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  line_client(const line_client&) = delete;
+  line_client& operator=(const line_client&) = delete;
+
+  [[nodiscard]] bool connected() const { return fd_ >= 0; }
+
+  /// Sends all of `text`; false once the server has hung up.
+  bool send(std::string_view text) {
+    while (!text.empty()) {
+      const ssize_t n = ::send(fd_, text.data(), text.size(), MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      text.remove_prefix(static_cast<std::size_t>(n));
+    }
+    return true;
+  }
+
+  /// The next reply line; empty on hang-up or timeout.
+  std::string read_line() {
+    std::size_t eol;
+    char chunk[4096];
+    while ((eol = pending_.find('\n')) == std::string::npos) {
+      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
+      if (n <= 0) return "";
+      pending_.append(chunk, static_cast<std::size_t>(n));
+    }
+    std::string line = pending_.substr(0, eol);
+    pending_.erase(0, eol + 1);
+    return line;
+  }
+
+  std::string exchange(const std::string& request) {
+    return send(request + "\n") ? read_line() : "";
+  }
+
+ private:
+  int fd_;
+  std::string pending_;
+};
+
+/// Waits (5 s at most) until `path` exists, i.e. `run()` has bound it.
+void wait_for_socket(const std::string& path) {
+  for (int i = 0; i < 500 && ::access(path.c_str(), F_OK) != 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+}
+
+/// `server::run()` on its own thread, accepting by the end of the
+/// constructor; stopped and joined on scope exit.
+struct running_server {
+  running_server(server& s, const std::string& path)
+      : srv(s), thread([&s] { s.run(); }) {
+    for (int i = 0; i < 500 && !line_client(path).connected(); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ~running_server() {
+    srv.request_stop();
+    thread.join();
+  }
+  running_server(const running_server&) = delete;
+  running_server& operator=(const running_server&) = delete;
+  server& srv;
+  std::thread thread;
+};
+
+server_params on_socket(const std::string& path) {
+  server_params sp;
+  sp.socket_path = path;
+  return sp;
+}
+
+/// This process's virtual size in KiB (VmSize in /proc/self/status).
+std::size_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  std::size_t kib = 0;
+  while (status >> key && key != "VmSize:") {
+  }
+  status >> kib;
+  return kib;
 }
 
 TEST(ServeServer, InProcessRequestSurface) {
@@ -191,9 +309,7 @@ TEST(ServeServer, PingsSurviveSignalInterruptedReads) {
   // A SIGALRM interval timer aimed at the connection thread, with a
   // handler installed without SA_RESTART, makes its blocking read fail
   // with EINTR; the connection must retry instead of dropping the client.
-  const std::string socket_path =
-      testing::TempDir() + "domset_serve_eintr_" +
-      std::to_string(::getpid()) + ".sock";
+  const std::string socket_path = socket_path_for("eintr");
   struct sigaction action {};
   action.sa_handler = ignore_alarm;
   sigemptyset(&action.sa_mask);
@@ -201,39 +317,19 @@ TEST(ServeServer, PingsSurviveSignalInterruptedReads) {
   struct sigaction previous_action {};
   ASSERT_EQ(::sigaction(SIGALRM, &action, &previous_action), 0);
 
-  server_params sp;
-  sp.socket_path = socket_path;
-  server srv(test_graph(100, 5), sp);
+  server srv(test_graph(100, 5), on_socket(socket_path));
   std::thread server_thread([&] { srv.run(); });
-  for (int i = 0; i < 500 && ::access(socket_path.c_str(), F_OK) != 0; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Not running_server: its probe connections would add threads.
+  wait_for_socket(socket_path);
 
   const std::set<pid_t> before = thread_ids();
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof addr.sun_path - 1);
-  const bool connected =
-      fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof addr) == 0;
-
-  std::string pending;
-  const auto ping = [&] {
-    if (::send(fd, "ping\n", 5, MSG_NOSIGNAL) != 5) return false;
-    std::size_t eol;
-    char chunk[256];
-    while ((eol = pending.find('\n')) == std::string::npos) {
-      const ssize_t n = ::read(fd, chunk, sizeof chunk);
-      if (n <= 0) return false;
-      pending.append(chunk, static_cast<std::size_t>(n));
-    }
-    const bool ok = serve::parse_response(pending.substr(0, eol)).ok;
-    pending.erase(0, eol + 1);
-    return ok;
+  auto client = std::make_unique<line_client>(socket_path);
+  const auto ping = [&client] {
+    return client->exchange("ping") == "ok epoch=0";
   };
   // The first reply proves the connection thread exists: it is the one
   // thread the connect added.
-  const bool first_reply = connected && ping();
+  const bool first_reply = client->connected() && ping();
   std::vector<pid_t> added;
   for (const pid_t id : thread_ids())
     if (!before.contains(id)) added.push_back(id);
@@ -262,7 +358,7 @@ TEST(ServeServer, PingsSurviveSignalInterruptedReads) {
   }
 
   if (armed) ::timer_delete(timer);
-  if (fd >= 0) ::close(fd);
+  client.reset();
   srv.request_stop();
   server_thread.join();
   // The connection thread is joined, so no alarm can still be pending.
@@ -276,14 +372,11 @@ TEST(ServeServer, SocketLoadAgreesWithOfflineReplayAcrossExecKnobs) {
   // clients plus the mutator, every response from a consistently pinned
   // epoch, and the served final digest reproduced by an offline replay
   // of the admitted stream at every thread count.
-  const std::string socket_path =
-      testing::TempDir() + "domset_serve_test_" +
-      std::to_string(::getpid()) + ".sock";
+  const std::string socket_path = socket_path_for("load");
   const std::uint64_t seed = 7;
   const std::size_t n = 200;
 
-  server_params sp;
-  sp.socket_path = socket_path;
+  server_params sp = on_socket(socket_path);
   sp.inc.exec.seed = seed;
   server srv(test_graph(n, seed), sp);
   std::thread server_thread([&] { srv.run(); });
@@ -299,8 +392,7 @@ TEST(ServeServer, SocketLoadAgreesWithOfflineReplayAcrossExecKnobs) {
   lp.shutdown_server = true;
 
   // The server binds the socket on its own thread; wait for it.
-  for (int i = 0; i < 500 && ::access(socket_path.c_str(), F_OK) != 0; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  wait_for_socket(socket_path);
 
   const serve::load_report report = run_load(test_graph(n, seed), lp);
   server_thread.join();
@@ -335,6 +427,147 @@ TEST(ServeServer, SocketLoadAgreesWithOfflineReplayAcrossExecKnobs) {
         << threads << " threads";
     EXPECT_EQ(offline.summary.final_size, report.final_size);
   }
+}
+
+TEST(ServeServer, ShutdownCommitsThePendingBatch) {
+  // A batch admitted but never committed is sealed when the server stops,
+  // exactly as an offline replay of that batch would seal it.
+  const std::string path = socket_path_for("drain");
+  const std::string atoms = "addnode=120+add=0-120+add=5-120";
+  server_params sp = on_socket(path);
+  sp.inc.exec.seed = 9;
+  server srv(test_graph(120, 9), sp);
+  {
+    running_server running(srv, path);
+    line_client client(path);
+    EXPECT_EQ(client.exchange("mutate " + atoms),
+              "ok admitted=3 pending=3 epoch=0");
+    EXPECT_EQ(client.exchange("shutdown"), "ok shutdown=1");
+  }
+
+  const serve::pinned_epoch epoch = srv.pin();
+  EXPECT_EQ(epoch->epoch, 1u);
+  EXPECT_EQ(srv.stats().commits, 1u);
+  dyn::replay_spec spec;
+  spec.inc = sp.inc;
+  spec.batch = 3;
+  spec.log = dyn::parse_mutation_list(atoms);
+  const dyn::replay_result offline =
+      dyn::run_replay(test_graph(120, 9), "ba", spec);
+  EXPECT_EQ(offline.summary.epochs, 1u);
+  EXPECT_EQ(std::stoull(offline.summary.final_digest, nullptr, 16),
+            epoch->digest);
+  EXPECT_EQ(offline.summary.final_size, epoch->size);
+}
+
+TEST(ServeServer, SocketPathIsReplacedOnlyWhenItIsAStaleSocket) {
+  const std::string path = socket_path_for("path");
+  server srv(test_graph(60, 10), on_socket(path));
+  std::ofstream(path) << "keep me\n";
+  {
+    std::atomic<bool> done{false};
+    std::string error;
+    std::thread runner([&] {
+      try {
+        srv.run();
+      } catch (const std::runtime_error& err) {
+        error = err.what();
+      }
+      done.store(true);
+    });
+    for (int i = 0; !done.load(); ++i) {
+      if (i >= 100) srv.request_stop();  // it took the path over: stop it
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    runner.join();
+    EXPECT_NE(error.find(path), std::string::npos) << error;
+  }
+  std::stringstream content;
+  content << std::ifstream(path).rdbuf();
+  EXPECT_EQ(content.str(), "keep me\n") << "the file was replaced";
+
+  // What a killed server leaves: a socket bound and never unlinked.
+  std::filesystem::remove(path);
+  const int stale = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const sockaddr_un addr = address_of(path);
+  ASSERT_EQ(::bind(stale, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr),
+            0);
+  ::close(stale);
+  server second(test_graph(60, 10), on_socket(path));
+  running_server running(second, path);
+  EXPECT_EQ(line_client(path).exchange("ping"), "ok epoch=0");
+}
+
+TEST(ServeServer, ClosedConnectionThreadsAreReaped) {
+  // A closed connection must not keep its thread's stack mapped until
+  // the server stops.
+  const std::string path = socket_path_for("reap");
+  server srv(test_graph(60, 12), on_socket(path));
+  running_server running(srv, path);
+  // Eight connections live at once first: the allocator sets up its
+  // per-thread arenas (64 MiB of address space each) and its stack cache
+  // for more live connection threads than the sequential cycles below
+  // ever have, so the measurement sees only what closed connections keep.
+  {
+    std::vector<std::unique_ptr<line_client>> warm;
+    for (int i = 0; i < 8; ++i)
+      warm.push_back(std::make_unique<line_client>(path));
+    for (const auto& client : warm)
+      EXPECT_EQ(client->exchange("ping"), "ok epoch=0");
+  }
+
+  const std::size_t before = vm_size_kib();
+  int replies = 0;
+  for (int i = 0; i < 300; ++i)
+    replies += line_client(path).exchange("ping") == "ok epoch=0";
+  const std::size_t after = vm_size_kib();
+  EXPECT_EQ(replies, 300);
+  EXPECT_LT(after, before + 100 * 1024)
+      << "VmSize grew from " << before << " KiB to " << after << " KiB";
+}
+
+TEST(ServeServer, RequestLinesAreCappedAndPipelinedLinesAllAnswered) {
+  const std::string path = socket_path_for("lines");
+  const std::size_t n = 60;
+  server srv(test_graph(n, 13), on_socket(path));
+  running_server running(srv, path);
+
+  // 2 MiB without a newline is refused; the send fails once the server
+  // hangs up, and another client is served throughout.
+  line_client hog(path);
+  line_client other(path);
+  std::thread flood([&] { (void)hog.send(std::string(2u << 20, 'x')); });
+  int pings = 0;
+  for (int i = 0; i < 50; ++i) pings += other.exchange("ping") == "ok epoch=0";
+  const std::string refusal = hog.read_line();
+  flood.join();
+  EXPECT_EQ(pings, 50);
+  EXPECT_EQ(refusal.rfind("err request line 1: ", 0), 0u) << refusal;
+  EXPECT_EQ(hog.read_line(), "") << "the connection stays open";
+
+  // 10,000 requests in one write: pings, with a member query on every
+  // tenth line so the order of the replies is checkable.
+  std::string requests;
+  for (std::size_t i = 0; i < 10'000; ++i)
+    requests += i % 10 == 9
+                    ? "query member " + std::to_string(i / 10 % n) + "\n"
+                    : std::string("ping\n");
+  std::thread writer([&] { EXPECT_TRUE(other.send(requests)); });
+  std::size_t in_order = 0;
+  for (; in_order < 10'000; ++in_order) {
+    const std::string reply = other.read_line();
+    const std::size_t i = in_order;
+    if (i % 10 == 9 ? reply.rfind("ok epoch=0 node=" +
+                                      std::to_string(i / 10 % n) + " member=",
+                                  0) != 0
+                    : reply != "ok epoch=0") {
+      ADD_FAILURE() << "reply " << i << ": " << reply;
+      break;
+    }
+  }
+  writer.join();
+  EXPECT_EQ(in_order, 10'000u);
 }
 
 }  // namespace

@@ -546,14 +546,14 @@ int cmd_replay(int argc, const char* const* argv) {
 
 /// `domset serve`: keep a solved instance resident behind an AF_UNIX
 /// line-protocol socket -- mutations are admitted into the incremental
-/// engine's pending batch, commits seal epochs (explicit `commit`
-/// requests, --batch, or --interval-ms), and queries answer lock-free
-/// from pinned epochs.  See docs/serve.md for the protocol and the
+/// engine's pending batch, explicit `commit` requests seal epochs (and
+/// shutdown seals the last), and queries answer lock-free from pinned
+/// epochs.  See docs/serve.md for the protocol and the
 /// reader/writer contract.
 int cmd_serve(int argc, const char* const* argv) {
   common::cli_parser cli(
       "Serve a resident solved instance over an AF_UNIX line protocol "
-      "(lock-free epoch-pinned queries, single-writer commits)");
+      "(lock-free epoch-pinned queries, serialized commits)");
   cli.add_flag("socket", "", "AF_UNIX socket path to bind (required)");
   cli.add_flag("alg", "pipeline",
                "incumbent solver (must produce an integral set)");
@@ -573,18 +573,6 @@ int cmd_serve(int argc, const char* const* argv) {
                "pin nodes with degree above this cap to the dirty-ball "
                "boundary instead of expanding them (0 = off)");
   cli.require_nonnegative_int("frontier-cap");
-  cli.add_flag("batch", "0",
-               "auto-commit once this many mutations are pending (0 = only "
-               "explicit `commit` requests seal epochs -- the reproducible "
-               "configuration)");
-  cli.require_nonnegative_int("batch");
-  cli.add_flag("interval-ms", "0",
-               "auto-commit a non-empty pending batch after this many "
-               "milliseconds (0 = off)");
-  cli.add_flag("epoch-slots", "64",
-               "epoch-store wheel size (resident epochs: current + "
-               "pinned-retired)");
-  cli.require_nonnegative_int("epoch-slots");
   if (!cli.parse(argc, argv)) return 2;
   if (cli.get_string("socket").empty()) {
     std::fprintf(stderr, "domset serve: --socket is required\n");
@@ -607,9 +595,6 @@ int cmd_serve(int argc, const char* const* argv) {
   params.inc.full_fraction = cli.get_double("full-fraction");
   params.inc.frontier_cap =
       static_cast<std::uint32_t>(cli.get_int("frontier-cap"));
-  params.batch_max = static_cast<std::size_t>(cli.get_int("batch"));
-  params.interval_ms = cli.get_double("interval-ms");
-  params.epoch_slots = static_cast<std::size_t>(cli.get_int("epoch-slots"));
 
   api::param_map graph_params;
   forward_set_flags(cli, graph_param_flags, graph_params);
